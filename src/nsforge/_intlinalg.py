@@ -1,11 +1,16 @@
-"""Exact integer linear algebra on small dense matrices.
+"""Linear algebra on small dense matrices, exact by default.
 
-Matrices are lists (or tuples) of row lists of Python ints; everything is
-arbitrary precision.  Sizes stay at desk scale (<= 12 or so), so the simple
-cubic algorithms below are the right tool.
+Matrices are lists (or tuples) of rows.  The lattice routines (Hermite form,
+kernels, ranks, Bareiss determinants) take Python ints; the ring-generic
+helpers (``mat_mul``, ``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_vec``)
+take entries of any ring that mixes with ints -- int, Fraction, QQi,
+complex, IntPoly -- and ``solve_fraction`` works over any exact field.
+Sizes stay at desk scale (<= 12 or so), so the simple cubic algorithms
+below are the right tool.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import ZeroInput
 
@@ -31,8 +36,14 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    # sums start from their first term: a start of int 0 would cost every
+    # QQi or complex entry one more coercion and addition
+    bt = [(col[0], col[1:]) for col in zip(*b)]
+    out = []
+    for row in a:
+        rest = row[1:]
+        out.append([sum(map(mul, rest, tail), row[0] * y0) for y0, tail in bt])
+    return out
 
 
 def mat_add(a, b):
@@ -313,24 +324,24 @@ def det_fraction(a):
 
 
 def solve_fraction(a, rhs_cols):
-    """Solve a X = B over Fractions; a square nonsingular, B given as columns."""
+    """Solve a X = B over an exact field; B given as columns, X returned so.
+
+    The entries of ``a`` must be field elements (Fraction, QQi): pass an
+    integer matrix through ``frac_mat`` first.  A singular ``a`` raises
+    ZeroDivisionError.
+    """
     n = len(a)
     k = len(rhs_cols)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(rhs_cols[c][i]) for c in range(k)]
-         for i in range(n)]
+    m = [list(a[i]) + [rhs_cols[c][i] for c in range(k)] for i in range(n)]
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
             raise ZeroDivisionError("singular system")
         m[col], m[piv] = m[piv], m[col]
         inv = m[col][col]
         m[col] = [x / inv for x in m[col]]
         for i in range(n):
-            if i != col and m[i][col] != 0:
+            if i != col and m[i][col]:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return [[m[i][n + c] for i in range(n)] for c in range(k)]

@@ -242,7 +242,7 @@ def _enum_parallel(spec, jobs):
     chunks = [c for c in chunks if c]
     fields = (spec.n, spec.u, spec.d, spec.bound, spec.require_idempotent,
               spec.require_type, spec.use_prefilters, spec.allow_large)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as ex:
         blocks = list(ex.map(_enum_block, [(fields, c) for c in chunks]))
     merged = []
     for b in blocks:
@@ -323,7 +323,7 @@ def run(argv):
         return _COMMANDS[args.command](args)
     except NsforgeError as exc:
         return CommandResult("error", {"error": {"code": exc.code, "message": str(exc)}}, [])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except Exception as exc:  # malformed input must not escape as a traceback
         return CommandResult(
             "error",
             {"error": {"code": type(exc).__name__, "message": str(exc)}}, [])

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import _intlinalg as la
-from ._gaussian import QQi
+from ._gaussian import QQI_ZERO, QQi
 from .errors import (
     NotInSiegel,
     NotPrimitive,
@@ -176,54 +176,30 @@ def _complex_period_block(factor):
 def _tau_from_basis(p_complex, c_num):
     """Read the period matrix off a symplectic basis in complex coordinates.
 
-    ``c_num`` holds integer multiples of the basis columns; the common scale
-    cancels in the normalization, so it never needs to be tracked.
+    ``c_num`` holds rational multiples of the basis columns; the common scale
+    cancels in the normalization, so it never needs to be tracked.  With
+    Z = P C split into halves (E | F), the period matrix solves F tau = E.
     """
     n = len(p_complex)
-    z = _qqi_mul(p_complex, c_num)
-    e_half = [[z[r][c] for c in range(n)] for r in range(n)]
-    f_half = [[z[r][n + c] for c in range(n)] for r in range(n)]
-    f_inv_cols = _qqi_inverse_columns(f_half)
-    tau = _qqi_mul(la.transpose(f_inv_cols), e_half)
+    # P is sparse and C mostly zero: sum over the nonzero pairs only
+    p_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*p_complex)]
+    z_cols = []
+    for col in zip(*c_num):
+        acc = [QQI_ZERO] * n
+        for p_col, val in zip(p_cols, col):
+            if val:
+                for i, x in p_col:
+                    acc[i] = acc[i] + x * val
+        z_cols.append(acc)
+    try:
+        tau_cols = la.solve_fraction(la.transpose(z_cols[n:]), z_cols[:n])
+    except ZeroDivisionError:
+        raise NotInSiegel("internal: degenerate half-basis") from None
+    tau = la.transpose(tau_cols)
     for i in range(n):
         for j in range(n):
             assert tau[i][j] == tau[j][i], "internal: glued period matrix not symmetric"
     return PeriodMatrix.exact(tau)
-
-
-def _qqi_mul(a, b):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = QQi(0)
-            for x, y in zip(row, col):
-                if isinstance(x, int):
-                    acc = acc + y * x
-                else:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def _qqi_inverse_columns(a):
-    n = len(a)
-    m = [[a[i][j] for j in range(n)] + [QQi(1 if c == i else 0) for c in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise NotInSiegel("internal: degenerate half-basis")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [[m[i][n + c] for i in range(n)] for c in range(n)]
 
 
 def glue(x_factor, y_factor, spec):
@@ -438,23 +414,6 @@ def is_realizable(eta):
 
     # express the standard basis in factor coordinates, then map to C^n
     coord_cols = la.solve_fraction(la.frac_mat(full), la.identity(2 * n))
-    psi_cols = []
-    for c in range(2 * n):
-        col = [QQi(0)] * n
-        for r in range(2 * n):
-            val = coord_cols[c][r]
-            if val:
-                for i in range(n):
-                    if p_complex[i][r]:
-                        col[i] = col[i] + p_complex[i][r] * QQi(val)
-        psi_cols.append(col)
-    e_half = [[psi_cols[c][r] for c in range(n)] for r in range(n)]
-    f_half = [[psi_cols[n + c][r] for c in range(n)] for r in range(n)]
-    f_inv = _qqi_inverse_columns(f_half)
-    tau_rows = _qqi_mul(la.transpose(f_inv), e_half)
-    for i in range(n):
-        for j in range(n):
-            assert tau_rows[i][j] == tau_rows[j][i], "internal: witness is not symmetric"
-    tau = PeriodMatrix.exact(tau_rows)
+    tau = _tau_from_basis(p_complex, la.transpose(coord_cols))
     assert wedge_vanishes(eta, tau), "internal: witness fails the vanishing test"
     return RealizabilityResult(tau, "ok")

@@ -10,8 +10,8 @@ and tests keep the two in exact agreement.
 """
 
 import itertools
-import os
 from dataclasses import dataclass
+from math import lcm
 
 from . import _intlinalg as la
 from ._gaussian import QQi
@@ -26,6 +26,7 @@ from .errors import (
 )
 from .exterior import TwoForm, check_class, is_primitive
 from .normend import analyze, norm_from_class
+from .scan import _budget
 
 EXACT = "exact"
 FLOAT = "float"
@@ -137,9 +138,8 @@ def _zero(backend):
     return QQi(0) if backend == EXACT else 0j
 
 
-def _tau_values(tau):
-    """Packed list of tau_kl entries in variable order."""
-    return [tau.rows[k - 1][l - 1] for k, l in tau_var_pairs(tau.n)]
+def _one_like_backend(backend):
+    return QQi(1) if backend == EXACT else 1 + 0j
 
 
 def _dz_coefficients(tau):
@@ -150,8 +150,8 @@ def _dz_coefficients(tau):
     """
     n = tau.n
     m = 2 * n
-    pi = [[tau.rows[k][i] if i < n else (_one_like(tau) if i == n + k else _zero(tau.backend))
-           for i in range(m)] for k in range(n)]
+    one, zero = _one_like_backend(tau.backend), _zero(tau.backend)
+    pi = [list(tau.rows[k]) + [one if i == k else zero for i in range(n)] for k in range(n)]
     coeffs = {}
     for subset in itertools.combinations(range(m), n):
         sub = [[pi[r][c] for c in subset] for r in range(n)]
@@ -159,10 +159,6 @@ def _dz_coefficients(tau):
         if _nonzero(det, tau.backend):
             coeffs[subset] = det
     return coeffs
-
-
-def _one_like(tau):
-    return QQi(1) if tau.backend == EXACT else 1 + 0j
 
 
 def _nonzero(x, backend):
@@ -194,10 +190,6 @@ def _det_generic(mat, backend):
                 for j in range(k, n):
                     m[i][j] = m[i][j] - f * m[k][j]
     return det
-
-
-def _one_like_backend(backend):
-    return QQi(1) if backend == EXACT else 1 + 0j
 
 
 def _merge_sign(pair, subset):
@@ -253,18 +245,14 @@ def _blocks(eta):
     return a, b, c, d
 
 
-def _mat_mul_ring(a, b, zero):
-    bt = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = zero
-            for x, y in zip(row, col):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+def _residual(eta, t):
+    """R = M11 - t M21 - M12 t + t M22 t over the ring of the entries of t."""
+    m11, m12, m21, m22 = _blocks(eta)
+    term2 = la.mat_mul(t, m21)
+    term3 = la.mat_mul(m12, t)
+    term4 = la.mat_mul(la.mat_mul(t, m22), t)
+    return [[a - b - c + d for a, b, c, d in zip(*rows)]
+            for rows in zip(m11, term2, term3, term4)]
 
 
 def residual_matrix(eta, tau):
@@ -277,16 +265,7 @@ def residual_matrix(eta, tau):
     """
     if eta.n != tau.n:
         raise DimensionMismatch("form and period matrix sizes differ")
-    zero = _zero(tau.backend)
-    m11, m12, m21, m22 = _blocks(eta)
-    t = [list(row) for row in tau.rows]
-    term1 = [[m11[i][j] + zero for j in range(tau.n)] for i in range(tau.n)]
-    term2 = _mat_mul_ring(t, m21, zero)
-    term3 = _mat_mul_ring(m12, t, zero)
-    term4 = _mat_mul_ring(_mat_mul_ring(t, m22, zero), t, zero)
-    n = tau.n
-    return [[term1[i][j] - term2[i][j] - term3[i][j] + term4[i][j] for j in range(n)]
-            for i in range(n)]
+    return _residual(eta, tau.rows)
 
 
 def residual_is_zero(eta, tau, tol=DEFAULT_TOL):
@@ -306,19 +285,7 @@ def residual_polynomials(eta):
     n = eta.n
     tsym = [[IntPoly.var(tau_var_index(n, min(k, l) + 1, max(k, l) + 1))
              for l in range(n)] for k in range(n)]
-    m11, m12, m21, m22 = _blocks(eta)
-    zero = IntPoly()
-    lift = lambda m: [[IntPoly.const(x) for x in row] for row in m]
-    term2 = _mat_mul_ring(tsym, lift(m21), zero)
-    term3 = _mat_mul_ring(lift(m12), tsym, zero)
-    term4 = _mat_mul_ring(_mat_mul_ring(tsym, lift(m22), zero), tsym, zero)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(IntPoly.const(m11[i][j]) - term2[i][j] - term3[i][j] + term4[i][j])
-        out.append(row)
-    return out
+    return _residual(eta, tsym)
 
 
 def _canonical_poly(p):
@@ -447,20 +414,12 @@ def _coefficient_lattice(tau):
         re_row = [x.re for x in row]
         im_row = [x.im for x in row]
         for comp in (re_row, im_row):
-            denom = 1
-            for f in comp:
-                denom = denom * f.denominator // _gcd(denom, f.denominator)
+            denom = lcm(*(f.denominator for f in comp))
             rational_rows.append([int(f * denom) for f in comp])
     if not rational_rows:
         return pairs, [list(c) for c in zip(*la.identity(len(pairs)))]
     kernel = la.kernel_basis(rational_rows)
     return pairs, kernel
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _box_lattice_points(basis_cols, bound, offset=None, node_budget=None):
@@ -475,12 +434,7 @@ def _box_lattice_points(basis_cols, bound, offset=None, node_budget=None):
             return [tuple(offset)]
         return []
     dim = len(basis_cols[0])
-    h, _ = la.column_hnf(la.transpose([list(c) for c in basis_cols]))
-    cols = []
-    for c in range(len(basis_cols)):
-        col = [h[r][c] for r in range(dim)]
-        if any(col):
-            cols.append(col)
+    cols = la.lattice_basis(basis_cols)
     if not cols:
         base_vec = offset or [0] * dim
         return [tuple(base_vec)] if all(abs(x) <= bound for x in base_vec) else []
@@ -634,7 +588,7 @@ def _float_scan_block(args):
 
 def _float_scan_vectors(tau, pairs, bound, tol, jobs):
     est = (2 * bound + 1) ** len(pairs)
-    budget = _scan_budget()
+    budget = _budget()
     if est > budget:
         raise BudgetExceeded(f"scan space {est} exceeds budget {budget}")
     tau_entries = [[complex(e) for e in row] for row in tau.rows]
@@ -646,7 +600,7 @@ def _float_scan_vectors(tau, pairs, bound, tol, jobs):
         chunks = [sorted(c) for c in chunks if c]
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as ex:
             blocks = list(ex.map(
                 _float_scan_block,
                 [(tau_entries, tau.n, pairs, bound, tol, c) for c in chunks]))
@@ -656,50 +610,19 @@ def _float_scan_vectors(tau, pairs, bound, tol, jobs):
     return sorted(out)
 
 
-def _scan_budget():
-    try:
-        return int(os.environ.get("NSFORGE_BUDGET", "2000000"))
-    except ValueError:
-        return 2_000_000
-
-
 def moebius(s, tau):
     """Action (alpha tau + beta)(gamma tau + delta)^{-1}; exact backend only."""
     if tau.backend != EXACT:
         raise RangeError("the fractional action is implemented for the exact backend")
     mat = s.mat if hasattr(s, "mat") else s
     n = tau.n
-    alpha = [[QQi(mat[i][j]) for j in range(n)] for i in range(n)]
-    beta = [[QQi(mat[i][n + j]) for j in range(n)] for i in range(n)]
-    gamma = [[QQi(mat[n + i][j]) for j in range(n)] for i in range(n)]
-    delta = [[QQi(mat[n + i][n + j]) for j in range(n)] for i in range(n)]
-    zero = QQi(0)
-    t = [list(r) for r in tau.rows]
-    num = _mat_add_ring(_mat_mul_ring(alpha, t, zero), beta)
-    den = _mat_add_ring(_mat_mul_ring(gamma, t, zero), delta)
-    den_inv_cols = _ring_inverse_columns(den)
-    res = _mat_mul_ring(num, la.transpose(den_inv_cols), zero)
+    alpha = [row[:n] for row in mat[:n]]
+    beta = [row[n:] for row in mat[:n]]
+    gamma = [row[:n] for row in mat[n:]]
+    delta = [row[n:] for row in mat[n:]]
+    num = la.mat_add(la.mat_mul(alpha, tau.rows), beta)
+    den = la.mat_add(la.mat_mul(gamma, tau.rows), delta)
+    # num den^{-1} is the transpose of X solving den^T X = num^T
+    res = la.transpose(la.solve_fraction(la.transpose(den), num))
     return PeriodMatrix.exact(res)
 
-
-def _mat_add_ring(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _ring_inverse_columns(a):
-    """Columns of a^{-1} over QQi by Gaussian elimination."""
-    n = len(a)
-    m = [[a[i][j] for j in range(n)] + [QQi(1 if c == i else 0) for c in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [[m[i][n + c] for i in range(n)] for c in range(n)]

@@ -48,3 +48,27 @@ def eta0():
 @pytest.fixture
 def shape_tau():
     return sample_shape_tau()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by an in-process pool; returns the worker counts asked for."""
+    import concurrent.futures
+
+    created = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return created

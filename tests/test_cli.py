@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from nsforge import cli, jsonio
+
 ETA0 = {"n": 4, "coeffs": [
     {"i": 3, "j": 8, "a": 1}, {"i": 3, "j": 7, "a": -1},
     {"i": 2, "j": 5, "a": 1}, {"i": 2, "j": 6, "a": -1},
@@ -165,3 +167,29 @@ class TestErrors:
         bad["matrix"] = [[0] * 8 for _ in range(8)]
         proc = run_cli(["check", "--in", write_json(tmp_path, "b.json", bad)])
         assert proc.returncode == 2
+
+    def _assert_json_error(self, proc, code):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["code"] == code
+
+    def test_tau_file_holding_an_array(self, tmp_path):
+        proc = run_cli(["analytic", "--in", write_json(tmp_path, "e.json", ETA0),
+                        "--tau", write_json(tmp_path, "t.json", [[["0", "1"]]])])
+        self._assert_json_error(proc, "AttributeError")
+
+    def test_exact_tau_entry_with_zero_denominator(self, tmp_path):
+        tau = {"n": 1, "backend": "exact", "entries": [[["1/0", "1"]]]}
+        proc = run_cli(["analytic", "--in", write_json(tmp_path, "e.json", ETA0),
+                        "--tau", write_json(tmp_path, "t.json", tau)])
+        self._assert_json_error(proc, "ZeroDivisionError")
+
+
+class TestWorkerPool:
+    def test_enum_workers_capped_at_chunks(self, fake_pool):
+        argv = ["enum", "--n", "2", "--u", "1", "--d", "1", "--bound", "1"]
+        serial = cli.run(argv + ["--jobs", "1"])
+        parallel = cli.run(argv + ["--jobs", "16"])
+        # bound 1 splits the first coefficient into 2 * 1 + 1 = 3 chunks
+        assert fake_pool == [3]
+        assert jsonio.dumps(parallel.payload) == jsonio.dumps(serial.payload)

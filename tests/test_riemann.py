@@ -281,3 +281,10 @@ class TestScan:
         tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
         reports = scan_ppav(tau, 1, 1, 1)
         assert [r.eta.coeffs() for r in reports] == [{(0, 2): -1}, {(1, 3): -1}]
+
+    def test_float_scan_workers_capped_at_chunks(self, fake_pool):
+        tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
+        serial = scan_ppav(tau, 1, 1, 1)
+        parallel = scan_ppav(tau, 1, 1, 1, jobs=16)
+        assert fake_pool == [3]
+        assert parallel == serial
