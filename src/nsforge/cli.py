@@ -48,7 +48,9 @@ class CommandResult:
 
 
 def _read_json(path):
-    if path in (None, "-"):
+    if path is None:  # stdin only when asked for, so a missing --in never blocks
+        raise RangeError("missing --in (use '--in -' to read stdin)")
+    if path == "-":
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -247,9 +249,7 @@ def _enum_parallel(spec, jobs):
     merged = []
     for b in blocks:
         merged.extend(b)
-    from .jsonio import two_form_from_json
-
-    classes = [two_form_from_json(obj) for obj in merged]
+    classes = [jsonio.two_form_from_json(obj) for obj in merged]
     classes.sort(key=lambda e: e.coefficient_vector())
     return classes
 

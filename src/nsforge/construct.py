@@ -23,7 +23,7 @@ from .errors import (
     TypeMismatch,
 )
 from .exterior import check_class, is_primitive
-from .normend import analyze, class_from_norm, norm_from_class
+from .normend import _report, analyze, class_from_norm, norm_from_class
 from .riemann import EXACT, PeriodMatrix, wedge_vanishes
 from .symplectic import frobenius_basis, gram_matrix
 
@@ -316,11 +316,9 @@ def glue(x_factor, y_factor, spec):
             rho[r][c] = int(val)
     eta = class_from_norm(rho)
 
-    got = check_class(eta)
-    assert got == (u, d_exp), f"internal: glued class certifies as {got}"
     report = analyze(eta)
-    assert report.type_divisors == tuple(d_list), \
-        f"internal: glued type {report.type_divisors} != {tuple(d_list)}"
+    got = (report.u, report.d, report.type_divisors)
+    assert got == (u, d_exp, tuple(d_list)), f"internal: glued class certifies as {got}"
     assert wedge_vanishes(eta, tau), "internal: glued class fails the vanishing test"
     return tau, eta
 
@@ -366,11 +364,11 @@ def is_realizable(eta):
     u, d = got
     n = eta.n
     try:
-        norm_from_class(eta, u, d)
+        norm = norm_from_class(eta, u, d)
     except NsforgeError:
         return RealizabilityResult(None, "IdempotenceFail")
     try:
-        report = analyze(eta)
+        report = _report(eta, norm)
     except NsforgeError:
         return RealizabilityResult(None, "TypeFail")
 

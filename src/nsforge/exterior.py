@@ -10,7 +10,7 @@ pinned by a dedicated test anchor rather than trusted from the derivation.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, prod
 
 from . import _intlinalg as la
 from ._poly import IntPoly
@@ -123,12 +123,8 @@ def pfaffian(mat):
         raise OddDimension("Pfaffian needs even size")
     if any(len(r) != m for r in mat):
         raise NotAntisymmetric("matrix must be square")
-    for i in range(m):
-        for j in range(i, m):
-            a, b = mat[i][j], mat[j][i]
-            bad = bool(a + b) if isinstance(a, IntPoly) or isinstance(b, IntPoly) else a != -b
-            if bad:
-                raise NotAntisymmetric("matrix must be antisymmetric")
+    if any(mat[i][j] + mat[j][i] for i in range(m) for j in range(i, m)):
+        raise NotAntisymmetric("matrix must be antisymmetric")
 
     @lru_cache(maxsize=None)
     def pf(idx):
@@ -146,13 +142,34 @@ def pfaffian(mat):
         return total
 
     result = pf(tuple(range(m)))
-    pf.cache_clear()
+    del pf  # the memoized recursion is a reference cycle: free it and its cache now
     return result
 
 
 def volume_sign(n):
     """Sign relating dx_1^...^dx_{2n} to the reference volume unit."""
     return -1 if (n * (n + 1) // 2) % 2 else 1
+
+
+def _pencil_pfaffian(forms):
+    """Pf(sum_i x_i * forms[i]) as an IntPoly (also when it is 0) in one variable per form."""
+    m = 2 * forms[0].n
+    sym = [[IntPoly() for _ in range(m)] for _ in range(m)]
+    for i, f in enumerate(forms):
+        for r in range(m):
+            row = f.mat[r]
+            for c in range(m):
+                if row[c]:
+                    sym[r][c] = sym[r][c] + IntPoly.var(i, row[c])
+    return IntPoly() + pfaffian(sym)
+
+
+def _pencil_numbers(eta, omega):
+    """eta^r . omega^(n-r) for r = 0..n, all read off one Pfaffian of x eta + y omega."""
+    n = eta.n
+    pf = _pencil_pfaffian([eta, omega])
+    return [volume_sign(n) * factorial(r) * factorial(n - r)
+            * pf.coefficient((0,) * r + (1,) * (n - r)) for r in range(n + 1)]
 
 
 def mixed_intersection(factors):
@@ -172,30 +189,14 @@ def mixed_intersection(factors):
     mults = [r for _, r in factors]
     if any(r < 0 for r in mults) or sum(mults) != n:
         raise MultiplicitySumMismatch(f"multiplicities must sum to {n}")
-    live = [(f, i) for i, (f, r) in enumerate(factors) if r > 0]
-    m = 2 * n
-    sym = [[IntPoly() for _ in range(m)] for _ in range(m)]
-    for f, i in live:
-        for r in range(m):
-            row = f.mat[r]
-            for c in range(m):
-                if row[c]:
-                    sym[r][c] = sym[r][c] + IntPoly.var(i, row[c])
-    pf = pfaffian(sym)
-    mono = tuple(sorted(i for i, r in enumerate(mults) for _ in range(r)))
-    coeff = pf.coefficient(mono) if isinstance(pf, IntPoly) else (pf if not mono else 0)
-    scale = 1
-    for r in mults:
-        scale *= factorial(r)
-    return volume_sign(n) * scale * coeff
+    pf = _pencil_pfaffian([f for f, _ in factors])
+    mono = tuple(i for i, r in enumerate(mults) for _ in range(r))
+    return volume_sign(n) * prod(map(factorial, mults)) * pf.coefficient(mono)
 
 
 def intersection_profile(eta):
     """All mixed numbers of eta^r against the principal class, r = 1..n."""
-    n = eta.n
-    th = theta(n)
-    values = [mixed_intersection([(eta, r), (th, n - r)]) for r in range(1, n + 1)]
-    return IntersectionProfile(n, tuple(values))
+    return IntersectionProfile(eta.n, tuple(_pencil_numbers(eta, theta(eta.n))[1:]))
 
 
 def is_primitive(eta):
@@ -275,18 +276,11 @@ def f_formula(u, r, n):
     return total / (r - 1)
 
 
-def _reduce_theta_component(eta):
-    """Subtract the multiple of theta that zeroes the (1, n+1) slot."""
-    k = eta.mat[0][eta.n]  # theta has -1 there
-    m = la.mat_add([list(r) for r in eta.mat], la.mat_scale(k, theta(eta.n).mat))
-    return TwoForm.from_matrix(eta.n, m)
-
-
 def is_primitive_mod_theta(eta):
     """Primitivity of the image in the quotient by the principal class line."""
-    reduced = _reduce_theta_component(eta)
-    entries = [x for row in reduced.mat for x in row]
-    return la.gcd_list(entries) == 1
+    # theta has -1 in the (1, n+1) slot: adding that multiple of it zeroes the slot
+    reduced = la.mat_add(eta.mat, la.mat_scale(eta.mat[0][eta.n], theta(eta.n).mat))
+    return la.gcd_list([x for row in reduced for x in row]) == 1
 
 
 @dataclass(frozen=True)
@@ -313,5 +307,8 @@ def check_class_mod_L(eta, u, d):
         raise NotPrimitiveModL("class is a multiple modulo the principal line")
     i1 = intersection_profile(eta).values[0]
     congruence_ok = (i1 - factorial(n - 1) * u * d) % factorial(n) == 0
-    qr_ok = all(q_r(eta, r) == f_formula(u, r, n) * d ** r for r in range(2, n + 1))
+    # every q_r from one Pfaffian of the natural class n! eta - i1 theta against theta
+    inter = _pencil_numbers(factorial(n) * eta - i1 * theta(n), theta(n))
+    qr_ok = all(Fraction(-inter[r], (r - 1) * factorial(n)) == f_formula(u, r, n) * d ** r
+                for r in range(2, n + 1))
     return ModLCheck(congruence_ok, qr_ok)

@@ -22,31 +22,46 @@ def two_form_to_json(eta):
     return {"n": eta.n, "coeffs": coeffs}
 
 
+def _int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DimensionMismatch(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _rows(value, what):
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise DimensionMismatch(f"{what} must be a list of rows")
+    return value
+
+
 def two_form_from_json(obj):
+    if not isinstance(obj, dict):
+        raise DimensionMismatch("2-form JSON must be an object")
     if "n" not in obj:
         raise DimensionMismatch("2-form JSON needs the field 'n'")
-    n = int(obj["n"])
+    n = _int(obj["n"], "'n'")
     from_coeffs = None
     from_matrix = None
     if "coeffs" in obj:
+        items = obj["coeffs"]
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise DimensionMismatch("'coeffs' must be a list of {i, j, a} objects")
         pairs = {}
-        for item in obj["coeffs"]:
-            i, j, a = int(item["i"]), int(item["j"]), int(item["a"])
+        for item in items:
+            i, j, a = (_int(item.get(k), f"coefficient field {k!r}") for k in "ija")
             if not 1 <= i < j <= 2 * n:
                 raise DimensionMismatch(f"coefficient index ({i},{j}) out of range")
             pairs[(i - 1, j - 1)] = pairs.get((i - 1, j - 1), 0) + a
         from_coeffs = TwoForm.from_coeffs(n, pairs)
     if "matrix" in obj:
-        from_matrix = TwoForm.from_matrix(n, [[int(x) for x in row] for row in obj["matrix"]])
-    if from_coeffs is not None and from_matrix is not None:
-        if from_coeffs != from_matrix:
-            raise DimensionMismatch("'coeffs' and 'matrix' disagree")
-        return from_coeffs
-    if from_coeffs is not None:
-        return from_coeffs
-    if from_matrix is not None:
-        return from_matrix
-    raise DimensionMismatch("2-form JSON needs 'coeffs' or 'matrix'")
+        rows = _rows(obj["matrix"], "'matrix'")
+        from_matrix = TwoForm.from_matrix(n, [[_int(x, "a matrix entry") for x in row]
+                                              for row in rows])
+    if from_coeffs is None and from_matrix is None:
+        raise DimensionMismatch("2-form JSON needs 'coeffs' or 'matrix'")
+    if from_coeffs is not None and from_matrix is not None and from_coeffs != from_matrix:
+        raise DimensionMismatch("'coeffs' and 'matrix' disagree")
+    return from_coeffs or from_matrix
 
 
 def _scalar_to_json(value, backend):
@@ -56,10 +71,17 @@ def _scalar_to_json(value, backend):
 
 
 def _scalar_from_json(entry, backend):
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise DimensionMismatch(f"a period-matrix entry is a [re, im] pair, got {entry!r}")
     re, im = entry
-    if backend == EXACT:
-        return QQi(Fraction(str(re)), Fraction(str(im)))
-    return complex(float(re), float(im))
+    try:
+        if backend == EXACT:
+            return QQi(Fraction(str(re)), Fraction(str(im)))
+        return complex(float(re), float(im))
+    except ZeroDivisionError:
+        raise RangeError(f"entry {entry!r} has a zero denominator") from None
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"entry {entry!r} is not a pair of numbers") from None
 
 
 def period_matrix_to_json(tau):
@@ -71,10 +93,15 @@ def period_matrix_to_json(tau):
 
 
 def period_matrix_from_json(obj):
+    if not isinstance(obj, dict):
+        raise DimensionMismatch("period-matrix JSON must be an object")
     backend = obj.get("backend", EXACT)
     if backend not in (EXACT, FLOAT):
         raise RangeError(f"unknown backend {backend!r}")
-    entries = obj["entries"]
+    entries = _rows(obj.get("entries"), "'entries'")
+    size = obj.get("n", len(entries))
+    if not entries or size != len(entries) or any(len(row) != size for row in entries):
+        raise DimensionMismatch("'entries' must be a non-empty n x n matrix")
     rows = [[_scalar_from_json(e, backend) for e in row] for row in entries]
     if backend == EXACT:
         return PeriodMatrix.exact(rows)

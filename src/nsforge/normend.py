@@ -4,10 +4,16 @@ A certified class eta yields the integer matrix N = J M_eta, which must be
 idempotent up to its exponent, have even rank twice the dimension, and trace
 twice dimension times exponent.  From N we read the image and kernel
 lattices, the polarization type on the image, and the complementary class.
+
+``analyze`` is ``norm_from_class`` followed by ``_report``, and certifies
+once.  Since J theta = I, Pf(t M + theta)^2 = det(I + t N), so a verified
+N^2 = d N of rank 2u (d >= 1) already fixes the (u, d) profile, and
+d I - N certifies d theta - eta as the (n - u, d) complement.  Callers that
+know (u, d) skip ``check_class``; ``complementary_class`` is the oracle.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial, prod
 
 from . import _intlinalg as la
 from .errors import (
@@ -69,8 +75,6 @@ def norm_from_class(eta, u=None, d=None):
         raise RankMismatch(f"rank(N) != {2 * u}")
     if not la.mat_eq(la.mat_mul(nmat, nmat), la.mat_scale(d, nmat)):
         raise NotIdempotent("N^2 != d N")
-    # N^T J = J N holds identically for N = J M with M antisymmetric
-    assert la.mat_eq(la.mat_mul(la.transpose(nmat), j), la.mat_mul(j, nmat))
     return NormMatrix(n, la.mat_freeze(nmat), u, d)
 
 
@@ -98,8 +102,7 @@ def complementary_class(eta, u=None, d=None):
             raise NotIdempotent("class fails the intersection-number profile")
         u, d = found
     n = eta.n
-    comp = TwoForm.from_matrix(
-        n, la.mat_sub(la.mat_scale(d, theta(n).mat), [list(r) for r in eta.mat]))
+    comp = d * theta(n) - eta
     if u == n:
         if not comp.is_zero():
             # the principal class is the only genuine full-dimension class
@@ -118,7 +121,11 @@ def complementary_class(eta, u=None, d=None):
 
 def analyze(eta):
     """Full certificate: dimension, exponent, type, lattices, complement."""
-    norm = norm_from_class(eta)
+    return _report(eta, norm_from_class(eta))
+
+
+def _report(eta, norm):
+    """The certificate of a class whose norm matrix has already been verified."""
     n, u, d = norm.n, norm.u, norm.d
     columns = la.transpose([list(r) for r in norm.mat])
     image = saturate([c for c in columns if any(c)])
@@ -137,59 +144,23 @@ def analyze(eta):
     combined = [list(b) for b in image.basis] + [list(b) for b in kernel_lat.basis]
     assert len(combined) == 2 * n, "internal: image and kernel do not fill the space"
     idx = abs(la.det_bareiss(la.transpose(combined)))
-    prod = 1
-    for t in divisors:
-        prod *= t
-    assert idx == prod * prod, f"internal: lattice index {idx} != (type product)^2"
-    comp = complementary_class(eta, u, d)
-    return SubvarietyReport(eta, u, d, divisors, image, kernel_lat, comp)
-
-
-def _char_poly(mat):
-    """Coefficients of det(t I - mat), exact, low degree first."""
-    from fractions import Fraction
-
-    size = len(mat)
-    xs = list(range(size + 1))
-    ys = []
-    for x in xs:
-        shifted = [[(x if i == k else 0) - mat[i][k] for k in range(size)] for i in range(size)]
-        ys.append(la.det_bareiss(shifted))
-    # Lagrange interpolation of the degree-size polynomial through the samples
-    coeffs = [Fraction(0)] * (size + 1)
-    for i, xi in enumerate(xs):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k, xk in enumerate(xs):
-            if k == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                new[p] -= c * xk
-                new[p + 1] += c
-            basis = new
-            denom *= xi - xk
-        scale = Fraction(ys[i]) / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    assert idx == prod(divisors) ** 2, f"internal: lattice index {idx} != (type product)^2"
+    # d theta - eta has norm matrix d I - N, which the verified identity
+    # N^2 = d N already certifies as an (n - u, d) class: no second profile
+    return SubvarietyReport(eta, u, d, divisors, image, kernel_lat, d * theta(n) - eta)
 
 
 def polynomial_certificate(norm):
     """Check the characteristic and minimal polynomial identities of N."""
     n, u, d = norm.n, norm.u, norm.d
     size = 2 * n
-    actual = _char_poly([list(r) for r in norm.mat])
-    # t^{2n-2u} (t - d)^{2u} expanded, low degree first
-    expected = [0] * (size + 1)
-    for k in range(2 * u + 1):
-        expected[(size - 2 * u) + k] = comb(2 * u, k) * (-d) ** (2 * u - k)
-    char_ok = actual == expected
     nmat = [list(r) for r in norm.mat]
+    # det(t I - N) and t^{2n-2u} (t - d)^{2u} both have degree 2n, so they
+    # are the same polynomial iff they agree at the 2n + 1 points t = 0..2n
+    char_ok = all(
+        la.det_bareiss([[(t if i == k else 0) - nmat[i][k] for k in range(size)]
+                        for i in range(size)]) == t ** (size - 2 * u) * (t - d) ** (2 * u)
+        for t in range(size + 1))
     sq = la.mat_mul(nmat, nmat)
     idem = la.mat_eq(sq, la.mat_scale(d, nmat))
     nonzero = any(any(row) for row in nmat)

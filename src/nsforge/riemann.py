@@ -24,8 +24,8 @@ from .errors import (
     NsforgeError,
     RangeError,
 )
-from .exterior import TwoForm, check_class, is_primitive
-from .normend import analyze, norm_from_class
+from .exterior import TwoForm, is_primitive
+from .normend import _report, analyze, norm_from_class
 from .scan import _budget
 
 EXACT = "exact"
@@ -484,6 +484,7 @@ def _box_lattice_points(basis_cols, bound, offset=None, node_budget=None):
                     partial[r] -= c * col[r]
 
     dfs(0)
+    del dfs  # a recursive closure is a reference cycle: free the points without the collector
     return sorted(results)
 
 
@@ -491,8 +492,8 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     """All certified classes with bounded coefficients detected on tau.
 
     Returns the analyze report of every primitive 2-form with coefficients
-    in [-bound, bound] that passes the profile test at (u, d), has a valid
-    norm matrix, and vanishes for tau, in lexicographic coefficient order.
+    in [-bound, bound] that has a valid norm matrix at (u, d), which implies
+    the (u, d) profile, and vanishes for tau, in lexicographic coefficient order.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
@@ -503,6 +504,8 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     else:
         pairs = [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
         vectors = _float_scan_vectors(tau, pairs, bound, tol, jobs)
+    if d < 1:  # no class has a profile with exponent below 1
+        return []
     reports = []
     seen = set()
     for vec in sorted(vectors):
@@ -512,17 +515,15 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
         eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
         if not is_primitive(eta):
             continue
-        if check_class(eta) != (u, d):
-            continue
         try:
-            norm_from_class(eta, u, d)
+            norm = norm_from_class(eta, u, d)
         except NsforgeError:
             continue
         if tau.backend == EXACT:
             assert wedge_vanishes(eta, tau), "internal: kernel member fails the wedge test"
         elif not wedge_vanishes(eta, tau, tol=tol):
             continue
-        reports.append(analyze(eta))
+        reports.append(_report(eta, norm))
     reports.sort(key=lambda rep: rep.eta.coefficient_vector())
     return reports
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import _intlinalg as la
 from .errors import BudgetExceeded, NsforgeError, RangeError
 from .exterior import TwoForm, check_class, is_primitive
-from .normend import analyze, norm_from_class
+from .normend import _report, analyze, norm_from_class
 
 
 @dataclass(frozen=True)
@@ -79,16 +79,17 @@ def enumerate_classes(spec, first_entry_values=None):
             eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
             if eta.is_zero() or not is_primitive(eta):
                 return
-            if check_class(eta) != (u, d):
-                return
             if spec.require_idempotent or spec.require_type is not None:
+                # a verified norm matrix implies the (u, d) profile
                 try:
-                    norm_from_class(eta, u, d)
+                    norm = norm_from_class(eta, u, d)
                 except NsforgeError:
                     return
                 if spec.require_type is not None:
-                    if analyze(eta).type_divisors != tuple(spec.require_type):
+                    if _report(eta, norm).type_divisors != tuple(spec.require_type):
                         return
+            elif check_class(eta) != (u, d):
+                return
             results.append(eta)
             return
         values = first_entry_values if idx == 0 and first_entry_values is not None else span
@@ -112,6 +113,7 @@ def enumerate_classes(spec, first_entry_values=None):
             vec[idx] = 0
 
     dfs(0, 0, n)
+    del dfs  # a recursive closure is a reference cycle: free its state without the collector
     results.sort(key=lambda e: e.coefficient_vector())
     return results
 

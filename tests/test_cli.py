@@ -1,6 +1,9 @@
+import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from nsforge import cli, jsonio
 
@@ -176,13 +179,13 @@ class TestErrors:
     def test_tau_file_holding_an_array(self, tmp_path):
         proc = run_cli(["analytic", "--in", write_json(tmp_path, "e.json", ETA0),
                         "--tau", write_json(tmp_path, "t.json", [[["0", "1"]]])])
-        self._assert_json_error(proc, "AttributeError")
+        self._assert_json_error(proc, "DimensionMismatch")
 
     def test_exact_tau_entry_with_zero_denominator(self, tmp_path):
         tau = {"n": 1, "backend": "exact", "entries": [[["1/0", "1"]]]}
         proc = run_cli(["analytic", "--in", write_json(tmp_path, "e.json", ETA0),
                         "--tau", write_json(tmp_path, "t.json", tau)])
-        self._assert_json_error(proc, "ZeroDivisionError")
+        self._assert_json_error(proc, "RangeError")
 
 
 class TestWorkerPool:
@@ -193,3 +196,26 @@ class TestWorkerPool:
         # bound 1 splits the first coefficient into 2 * 1 + 1 = 3 chunks
         assert fake_pool == [3]
         assert jsonio.dumps(parallel.payload) == jsonio.dumps(serial.payload)
+
+
+class TestStdin:
+    class Unreadable:
+        """Stands in for sys.stdin; any use of it fails the test instead of blocking."""
+
+        def __getattr__(self, name):
+            pytest.fail(f"stdin was used ({name}) without '--in -'")
+
+    @pytest.mark.parametrize("command", ["analytic", "profile", "check", "norm", "analyze",
+                                         "relations", "glue", "humbert", "act"])
+    def test_missing_in_is_a_usage_error(self, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdin", self.Unreadable())
+        result = cli.run([command])
+        assert result.exit_code == 2
+        assert result.payload["error"]["code"] == "RangeError"
+        assert "--in" in result.payload["error"]["message"]
+
+    def test_dash_still_reads_stdin(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(ETA0)))
+        result = cli.run(["profile", "--in", "-"])
+        assert result.exit_code == 0
+        assert result.payload == {"n": 4, "values": [24, 16, 0, 0]}

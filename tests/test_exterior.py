@@ -6,6 +6,7 @@ import pytest
 
 from nsforge import (
     TwoForm,
+    act,
     check_class,
     check_class_mod_L,
     f_formula,
@@ -97,6 +98,17 @@ class TestMixedIntersection:
             r = rng.randint(0, n)
             factors = [(eta, r), (omega, n - r)]
             assert mixed_intersection(factors) == mixed_intersection_oracle(factors)
+            # the profile reads every r off one Pfaffian; each value against the oracle
+            assert intersection_profile(eta).values == tuple(
+                mixed_intersection_oracle([(eta, k), (theta(n), n - k)]) for k in range(1, n + 1))
+
+    def test_profile_matches_per_r_mixed_intersection(self):
+        rng = random.Random(13)
+        for n in (4, 5, 6):
+            for _ in range(3):
+                eta = random_form(rng, n, bound=2)
+                assert intersection_profile(eta).values == tuple(
+                    mixed_intersection([(eta, r), (theta(n), n - r)]) for r in range(1, n + 1))
 
     def test_repeated_factor_equals_power(self):
         rng = random.Random(12)
@@ -245,6 +257,31 @@ class TestModLCheck:
     def test_wrong_dimension_fails(self):
         res = check_class_mod_L(type22_class(), 1, 2)
         assert not res.qr_ok and not res.ok
+
+    def test_qr_ok_matches_per_r_definition(self):
+        # check_class_mod_L reads every q_r off one Pfaffian; q_r is the per-r oracle
+        from nsforge import elliptic_class
+
+        rng = random.Random(17)
+        forms = [type22_class(), type22_class() + theta(4), elliptic_class(2, 3),
+                 TwoForm.from_coeffs(2, {(0, 3): -1, (1, 3): -3})]
+        forms += [random_form(rng, n, bound=2) for n in (2, 2, 3, 3, 4)]
+        forms += [act(random_symplectic(4, seed, 6), type22_class()) for seed in (1, 2)]
+        seen = 0
+        for eta in forms:
+            if not is_primitive_mod_theta(eta):
+                continue
+            n = eta.n
+            i1 = mixed_intersection([(eta, 1), (theta(n), n - 1)])
+            for u in range(1, n + 1):
+                for d in (1, 2, 3):
+                    res = check_class_mod_L(eta, u, d)
+                    assert res.qr_ok == all(q_r(eta, r) == f_formula(u, r, n) * d ** r
+                                            for r in range(2, n + 1))
+                    assert res.congruence_ok == ((i1 - factorial(n - 1) * u * d)
+                                                 % factorial(n) == 0)
+                    seen += res.qr_ok
+        assert seen >= 6  # the certified forms pass at their own (u, d)
 
     def test_principal_is_imprimitive_mod_itself(self):
         assert not is_primitive_mod_theta(theta(4))

@@ -5,7 +5,7 @@ import pytest
 
 from nsforge import PeriodMatrix, QQi, TwoForm, elliptic_class, symbolic_relations, theta
 from nsforge import jsonio
-from nsforge.errors import DimensionMismatch
+from nsforge.errors import DimensionMismatch, RangeError
 
 from conftest import type22_class
 
@@ -33,6 +33,24 @@ class TestTwoFormCodec:
         assert jsonio.two_form_from_json(obj) == TwoForm.from_coeffs(2, {(0, 2): -1})
 
 
+    @pytest.mark.parametrize("obj", [
+        [[0, 1], [-1, 0]],
+        "form",
+        {"n": "2", "coeffs": []},
+        {"n": 2, "coeffs": {"i": 1, "j": 3, "a": 1}},
+        {"n": 2, "coeffs": [[1, 3, 1]]},
+        {"n": 2, "coeffs": [{"i": 1, "j": 3}]},
+        {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": 1.5}]},
+        {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": True}]},
+        {"n": 1, "matrix": [0, 1, -1, 0]},
+        {"n": 1, "matrix": [[0, "1"], [-1, 0]]},
+        {"n": 1, "matrix": [[0, 1, 0], [-1, 0]]},
+    ])
+    def test_malformed_documents_rejected(self, obj):
+        with pytest.raises(DimensionMismatch):
+            jsonio.two_form_from_json(obj)
+
+
 class TestPeriodMatrixCodec:
     def test_exact_round_trip(self):
         tau = PeriodMatrix.exact([
@@ -58,6 +76,28 @@ class TestPeriodMatrixCodec:
         a = jsonio.dumps(jsonio.period_matrix_to_json(tau))
         b = jsonio.dumps(jsonio.period_matrix_to_json(tau))
         assert a == b and a.endswith("\n")
+
+
+    @pytest.mark.parametrize("obj", [
+        [[["0", "1"]]],
+        {"backend": "exact"},
+        {"backend": "exact", "entries": []},
+        {"backend": "exact", "entries": [["0", "1"]]},
+        {"backend": "exact", "entries": [[["0", "1"], ["0", "0"]]]},
+        {"n": 2, "backend": "exact", "entries": [[["0", "1"]]]},
+        {"backend": "exact", "entries": [[["0", "1", "0"]]]},
+        {"backend": "exact", "entries": [[["x", "1"]]]},
+        {"backend": "float", "entries": [[[None, 1.0]]]},
+        {"backend": "float", "entries": [[["x", 1.0]]]},
+    ])
+    def test_malformed_documents_rejected(self, obj):
+        with pytest.raises(DimensionMismatch):
+            jsonio.period_matrix_from_json(obj)
+
+    def test_zero_denominator_rejected(self):
+        obj = {"n": 1, "backend": "exact", "entries": [[["0", "1/0"]]]}
+        with pytest.raises(RangeError):
+            jsonio.period_matrix_from_json(obj)
 
 
 class TestRelationCodec:
