@@ -2,15 +2,16 @@
 polynomial relations a class imposes on the Siegel upper half space.
 
 Two numeric backends coexist: an exact one over Gaussian rationals for
-golden tests and certificates, and a binary64 one for scanning.  The direct
-exterior-algebra expansion ``wedge_vanishes`` is the semantic definition of
-the vanishing condition; ``residual_matrix`` is the fast reformulation
-restricting the complexified form to the kernel of the period projection,
-and tests keep the two in exact agreement.
+golden tests and certificates, and a binary64 one for scanning.  A class
+vanishes for tau when eta ^ dz_1 ^ ... ^ dz_n = 0, equivalently when the
+residual R, its restriction to the kernel of (tau | I), is zero.  Exact
+decisions test q^2 R over the integers; the float backend keeps the wedge
+expansion, whose exact form (``wedge_coefficients``) is the test reference.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from . import _intlinalg as la
@@ -223,20 +224,21 @@ def wedge_coefficients(eta, tau):
 
 
 def wedge_vanishes(eta, tau, tol=DEFAULT_TOL):
-    """Direct test of the holomorphic vanishing condition on eta.
+    """Test of the holomorphic vanishing condition eta ^ dz_1 ^ ... ^ dz_n = 0.
 
-    Exact backend: every coefficient of the expanded (n+2)-form is zero.
-    Float backend: every coefficient is within tol * (1 + max |tau_kl|)^2.
+    Exact backend: every integer entry of q^2 R is zero (``residual_matrix``).
+    Float backend: every expanded coefficient is within tol * (1 + max |tau_kl|)^2.
     """
-    coeffs = wedge_coefficients(eta, tau)
     if tau.backend == EXACT:
-        return not coeffs
+        return _exact_vanishes(eta, tau)
     bound = tol * (1 + tau.max_abs()) ** 2
-    return all(abs(v) <= bound for v in coeffs.values())
+    return all(abs(v) <= bound for v in wedge_coefficients(eta, tau).values())
 
 
-def _blocks(eta):
-    n = eta.n
+def _blocks(eta, n):
+    """The four n x n blocks of the coefficient matrix of an n-dimensional eta."""
+    if eta.n != n:
+        raise DimensionMismatch("form and period matrix sizes differ")
     m = eta.mat
     a = [[m[i][j] for j in range(n)] for i in range(n)]
     b = [[m[i][n + j] for j in range(n)] for i in range(n)]
@@ -247,7 +249,7 @@ def _blocks(eta):
 
 def _residual(eta, t):
     """R = M11 - t M21 - M12 t + t M22 t over the ring of the entries of t."""
-    m11, m12, m21, m22 = _blocks(eta)
+    m11, m12, m21, m22 = _blocks(eta, len(t))
     term2 = la.mat_mul(t, m21)
     term3 = la.mat_mul(m12, t)
     term4 = la.mat_mul(la.mat_mul(t, m22), t)
@@ -255,25 +257,51 @@ def _residual(eta, t):
             for rows in zip(m11, term2, term3, term4)]
 
 
+def _int_residual(eta, tau):
+    """q^2 and the integer matrices Re, Im of q^2 R for an exact tau = (A + iB) / q:
+
+    Re = q^2 M11 - q (A M21 + M12 A) + A M22 A - B M22 B,
+    Im = -q (B M21 + M12 B) + A M22 B + B M22 A, with q the lcm of the denominators.
+    """
+    m11, m12, m21, m22 = _blocks(eta, tau.n)
+    q = lcm(*(x.denominator for row in tau.rows for e in row for x in (e.re, e.im)))
+    a = [[e.re.numerator * (q // e.re.denominator) for e in row] for row in tau.rows]
+    b = [[e.im.numerator * (q // e.im.denominator) for e in row] for row in tau.rows]
+    mul, add, sub = la.mat_mul, la.mat_add, la.mat_sub
+    am22, bm22 = mul(a, m22), mul(b, m22)
+    re = [[q * q * x - q * y + z for x, y, z in zip(*rows)] for rows in zip(
+        m11, add(mul(a, m21), mul(m12, a)), sub(mul(am22, a), mul(bm22, b)))]
+    im = [[z - q * y for y, z in zip(*rows)] for rows in zip(
+        add(mul(b, m21), mul(m12, b)), add(mul(am22, b), mul(bm22, a)))]
+    return q * q, re, im
+
+
+def _exact_vanishes(eta, tau):
+    _, re, im = _int_residual(eta, tau)
+    return not any(map(any, re + im))
+
+
 def residual_matrix(eta, tau):
     """Restriction of the complexified form to the kernel of (tau | I).
 
     Returns the antisymmetric n x n matrix
     R = M11 - tau M21 - M12 tau + tau M22 tau
-    (block decomposition of the coefficient matrix); R = 0 is equivalent to
-    ``wedge_vanishes`` and the two are cross-validated in the test suite.
+    (block decomposition of the coefficient matrix), on an exact tau from q^2 R
+    over the integers.  The tests check R = 0 against the wedge expansion.
     """
-    if eta.n != tau.n:
-        raise DimensionMismatch("form and period matrix sizes differ")
+    if tau.backend == EXACT:
+        q2, re, im = _int_residual(eta, tau)
+        return [[QQi(Fraction(x, q2), Fraction(y, q2)) for x, y in zip(*rows)]
+                for rows in zip(re, im)]
     return _residual(eta, tau.rows)
 
 
 def residual_is_zero(eta, tau, tol=DEFAULT_TOL):
-    r = residual_matrix(eta, tau)
+    """R = 0: exactly (every integer of q^2 R is 0) or within the float tolerance."""
     if tau.backend == EXACT:
-        return all(not x for row in r for x in row)
+        return _exact_vanishes(eta, tau)
     bound = tol * (1 + tau.max_abs()) ** 2
-    return all(abs(x) <= bound for row in r for x in row)
+    return all(abs(x) <= bound for row in residual_matrix(eta, tau) for x in row)
 
 
 def residual_polynomials(eta):
@@ -498,6 +526,8 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     if bound < 1:
         raise RangeError("bound must be >= 1")
     n = tau.n
+    if not 1 <= u <= n:
+        raise RangeError("need 1 <= u <= n")
     if tau.backend == EXACT:
         pairs, kernel = _coefficient_lattice(tau)
         vectors = _exact_scan_vectors(n, pairs, kernel, u, d, bound)

@@ -187,6 +187,14 @@ class TestErrors:
                         "--tau", write_json(tmp_path, "t.json", tau)])
         self._assert_json_error(proc, "RangeError")
 
+    @pytest.mark.parametrize("u", ["0", "3"])
+    def test_scan_u_out_of_range(self, tmp_path, u):
+        tau = {"n": 2, "backend": "exact",
+               "entries": [[["0", "1"], ["0", "0"]], [["0", "0"], ["0", "2"]]]}
+        proc = run_cli(["scan", "--tau", write_json(tmp_path, "t.json", tau),
+                        "--u", u, "--d", "1", "--bound", "1"])
+        self._assert_json_error(proc, "RangeError")
+
 
 class TestWorkerPool:
     def test_enum_workers_capped_at_chunks(self, fake_pool):

@@ -13,14 +13,17 @@ from nsforge import (
     moebius,
     random_symplectic,
     residual_matrix,
+    riemann,
     scan_ppav,
+    standard_witness,
     symbolic_relations,
     tangent_and_lattice,
     theta,
     wedge_vanishes,
 )
-from nsforge.errors import NotAnalytic, NotInSiegel
+from nsforge.errors import DimensionMismatch, NotAnalytic, NotInSiegel, RangeError
 from nsforge.riemann import (
+    _residual,
     residual_is_zero,
     residual_polynomials,
     tau_var_index,
@@ -119,7 +122,7 @@ class TestResidual:
                     assert r[i][j] == -r[j][i]
 
     def test_agreement_with_wedge(self, eta0, shape_tau):
-        # fast path and semantic definition decide identically
+        # the exact decisions agree with the expanded (n+2)-form, the reference
         rng = random.Random(5)
         cases = []
         for _ in range(140):
@@ -129,8 +132,13 @@ class TestResidual:
         cases.append((theta(4), shape_tau))
         w = is_realizable(eta0)
         cases.append((eta0, w.tau))
+        for n, u, divisors in ((5, 2, (1, 2)), (6, 3, (1, 1, 1))):
+            tau, eta = standard_witness(n, u, divisors)
+            cases.append((eta, tau))
         for eta, tau in cases:
-            assert residual_is_zero(eta, tau) == wedge_vanishes(eta, tau)
+            expected = not wedge_coefficients(eta, tau)
+            assert residual_is_zero(eta, tau) == expected
+            assert wedge_vanishes(eta, tau) == expected
 
     def test_agreement_with_wedge_float(self):
         rng = random.Random(6)
@@ -139,6 +147,47 @@ class TestResidual:
             eta = random_form(rng, n)
             tau = random_float_tau(rng, n)
             assert residual_is_zero(eta, tau) == wedge_vanishes(eta, tau)
+
+    def test_integer_residual_matches_gaussian_formula(self):
+        # q^2 R over the integers, divided by q^2, equals R computed over QQi
+        rng = random.Random(12)
+
+        def symmetric_tau(n, entry):
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = entry()
+            for i in range(n):
+                rows[i][i] = rows[i][i] + QQi(0, 4 * n + 4)
+            return PeriodMatrix.exact(rows)
+
+        small = lambda: QQi(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        whole = lambda: QQi(rng.randint(-6, 6), rng.randint(-1, 1))
+        large = lambda: QQi(Fraction(rng.randint(-10**9, 10**9), rng.randint(10**6, 10**9)),
+                            Fraction(rng.randint(-10**9, 10**9), rng.randint(10**9, 10**12)))
+        vanishing = 0
+        for n in range(1, 6):
+            for entry in (small, whole, large):
+                for _ in range(4):
+                    tau = symmetric_tau(n, entry)
+                    for eta in (random_form(rng, n, bound=3), theta(n)):
+                        r = residual_matrix(eta, tau)
+                        assert r == _residual(eta, tau.rows)
+                        zero = all(not x for row in r for x in row)
+                        assert residual_is_zero(eta, tau) == zero
+                        vanishing += zero
+        assert vanishing >= 60  # theta(n) vanishes for every tau
+        tau, eta = standard_witness(4, 2, (2, 2))
+        assert residual_matrix(eta, tau) == _residual(eta, tau.rows)
+        assert residual_is_zero(eta, tau)
+
+    def test_size_mismatch_raises(self):
+        rng = random.Random(13)
+        for tau in (random_exact_tau(rng, 3), random_float_tau(rng, 3)):
+            for check in (residual_matrix, residual_is_zero, wedge_vanishes):
+                with pytest.raises(DimensionMismatch, match="sizes differ"):
+                    check(theta(2), tau)
 
     def test_elliptic_surface_residual_polynomial(self):
         # the (1, 2) slot carries c t11 - b t12 + a t22 + e (t11 t22 - t12^2) - d
@@ -167,6 +216,35 @@ class TestResidual:
             for i in range(n):
                 for j in range(n):
                     assert polys[i][j].evaluate(values) == r[i][j]
+
+
+class TestExactDecisionsSkipExpansion:
+    """Exact vanishing decisions never expand eta ^ dz_1 ^ ... ^ dz_n."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        original = riemann._dz_coefficients
+
+        def counted(tau):
+            calls.append(tau.backend)
+            return original(tau)
+
+        monkeypatch.setattr(riemann, "_dz_coefficients", counted)
+        return calls
+
+    def test_constructions_and_scan(self, expansions):
+        eta = type22_class()
+        standard_witness(4, 2, (2, 2))
+        w = is_realizable(eta)
+        tangent_and_lattice(eta, w.tau)
+        assert any(r.eta == eta for r in scan_ppav(w.tau, 2, 2, 1))
+        assert wedge_vanishes(eta, w.tau)
+        assert expansions == []
+
+    def test_float_wedge_keeps_the_expansion(self, expansions):
+        assert wedge_vanishes(type22_class(), sample_shape_tau().to_float())
+        assert expansions == ["float"]
 
 
 class TestSymbolicRelations:
@@ -281,6 +359,28 @@ class TestScan:
         tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
         reports = scan_ppav(tau, 1, 1, 1)
         assert [r.eta.coeffs() for r in reports] == [{(0, 2): -1}, {(1, 3): -1}]
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_u_out_of_range_raises_before_walking(self, monkeypatch, backend):
+        tau = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+        if backend == "float":
+            tau = tau.to_float()
+
+        def no_walk(*args):
+            pytest.fail("scan walked the lattice for an out-of-range u")
+
+        monkeypatch.setattr(riemann, "_coefficient_lattice", no_walk)
+        monkeypatch.setattr(riemann, "_float_scan_vectors", no_walk)
+        for u in (0, 3, -1):
+            with pytest.raises(RangeError, match="need 1 <= u <= n"):
+                scan_ppav(tau, u, 1, 1)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_d_below_one_is_empty(self, backend):
+        tau = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+        if backend == "float":
+            tau = tau.to_float()
+        assert scan_ppav(tau, 1, 0, 1) == []
 
     def test_float_scan_workers_capped_at_chunks(self, fake_pool):
         tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
