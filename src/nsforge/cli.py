@@ -32,7 +32,7 @@ from .riemann import (
     symbolic_relations,
     wedge_vanishes,
 )
-from .scan import EnumerationSpec, enumerate_classes
+from .scan import EnumerationSpec, _map_first_entries, enumerate_classes
 from .symplectic import act, random_symplectic
 
 
@@ -232,24 +232,13 @@ def _cmd_enum(args):
 
 def _enum_block(payload):
     spec_fields, firsts = payload
-    spec = EnumerationSpec(*spec_fields)
-    return [jsonio.two_form_to_json(e) for e in enumerate_classes(spec, first_entry_values=firsts)]
+    return enumerate_classes(EnumerationSpec(*spec_fields), first_entry_values=firsts)
 
 
 def _enum_parallel(spec, jobs):
-    import concurrent.futures
-
-    span = list(range(-spec.bound, spec.bound + 1))
-    chunks = [sorted(span[i::jobs]) for i in range(jobs)]
-    chunks = [c for c in chunks if c]
     fields = (spec.n, spec.u, spec.d, spec.bound, spec.require_idempotent,
               spec.require_type, spec.use_prefilters, spec.allow_large)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-        blocks = list(ex.map(_enum_block, [(fields, c) for c in chunks]))
-    merged = []
-    for b in blocks:
-        merged.extend(b)
-    classes = [jsonio.two_form_from_json(obj) for obj in merged]
+    classes = _map_first_entries(_enum_block, (fields,), spec.bound, jobs)
     classes.sort(key=lambda e: e.coefficient_vector())
     return classes
 

@@ -12,7 +12,7 @@ expansion, whose exact form (``wedge_coefficients``) is the test reference.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import _intlinalg as la
 from ._gaussian import QQi
@@ -22,12 +22,11 @@ from .errors import (
     DimensionMismatch,
     NotAnalytic,
     NotInSiegel,
-    NsforgeError,
     RangeError,
 )
-from .exterior import TwoForm, is_primitive
+from .exterior import TwoForm
 from .normend import _report, analyze, norm_from_class
-from .scan import _budget
+from .scan import _budget, _form, _identity_holds, _map_first_entries, _matrix, _pairs, _walk_block
 
 EXACT = "exact"
 FLOAT = "float"
@@ -417,8 +416,7 @@ def _residual_linear_map(tau):
     entry e, the backend scalar multiplying each coefficient.
     """
     n = tau.n
-    m = 2 * n
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = _pairs(n)
     rows = []
     for k in range(n):
         for l in range(k + 1, n):
@@ -435,19 +433,23 @@ def _residual_linear_map(tau):
 
 
 def _coefficient_lattice(tau):
-    """Saturated integer lattice of 2-forms vanishing at an exact tau."""
-    pairs, rows = _residual_linear_map(tau)
-    rational_rows = []
-    for row in rows:
-        re_row = [x.re for x in row]
-        im_row = [x.im for x in row]
-        for comp in (re_row, im_row):
-            denom = lcm(*(f.denominator for f in comp))
-            rational_rows.append([int(f * denom) for f in comp])
-    if not rational_rows:
+    """Saturated integer lattice of 2-forms vanishing at an exact tau.
+
+    The linear map sends the packed coefficients to the real and imaginary
+    parts of the strictly-upper entries of q^2 R, read off ``_int_residual``
+    of each basis 2-form: integers over the common q^2, which the kernel
+    does not see.
+    """
+    n = tau.n
+    pairs = _pairs(n)
+    upper = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    if not upper:
         return pairs, [list(c) for c in zip(*la.identity(len(pairs)))]
-    kernel = la.kernel_basis(rational_rows)
-    return pairs, kernel
+    columns = []
+    for p in pairs:
+        _, re, im = _int_residual(TwoForm.from_coeffs(n, {p: 1}), tau)
+        columns.append([part[k][l] for k, l in upper for part in (re, im)])
+    return pairs, la.kernel_basis(la.transpose(columns))
 
 
 def _box_lattice_points(basis_cols, bound, offset=None, node_budget=None):
@@ -522,39 +524,35 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     Returns the analyze report of every primitive 2-form with coefficients
     in [-bound, bound] that has a valid norm matrix at (u, d), which implies
     the (u, d) profile, and vanishes for tau, in lexicographic coefficient order.
+    The exact backend walks the vanishing lattice and rejects points failing
+    M J M = d M before certifying them; the float backend walks the certified
+    classes (``scan._walk``) and keeps those within the residual tolerance.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
     n = tau.n
     if not 1 <= u <= n:
         raise RangeError("need 1 <= u <= n")
-    if tau.backend == EXACT:
-        pairs, kernel = _coefficient_lattice(tau)
-        vectors = _exact_scan_vectors(n, pairs, kernel, u, d, bound)
-    else:
-        pairs = [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
-        vectors = _float_scan_vectors(tau, pairs, bound, tol, jobs)
+    if tau.backend == FLOAT:
+        est = (2 * bound + 1) ** (n * (2 * n - 1))
+        if est > _budget():
+            raise BudgetExceeded(f"scan space {est} exceeds budget {_budget()}")
     if d < 1:  # no class has a profile with exponent below 1
         return []
+    if tau.backend == EXACT:
+        pairs, kernel = _coefficient_lattice(tau)
+        vectors = [vec for vec in _exact_scan_vectors(n, pairs, kernel, u, d, bound)
+                   if gcd(*vec) == 1 and _identity_holds(_matrix(n, vec), n, d)]
+    else:
+        vectors = _float_scan_vectors(tau, u, d, bound, tol, jobs)
     reports = []
-    seen = set()
     for vec in sorted(vectors):
-        if not any(vec) or vec in seen:
-            continue
-        seen.add(vec)
-        eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
-        if not is_primitive(eta):
-            continue
-        try:
-            norm = norm_from_class(eta, u, d)
-        except NsforgeError:
-            continue
+        eta = _form(n, vec)
         if tau.backend == EXACT:
             assert wedge_vanishes(eta, tau), "internal: kernel member fails the wedge test"
         elif not wedge_vanishes(eta, tau, tol=tol):
             continue
-        reports.append(_report(eta, norm))
-    reports.sort(key=lambda rep: rep.eta.coefficient_vector())
+        reports.append(_report(eta, norm_from_class(eta, u, d)))
     return reports
 
 
@@ -593,52 +591,22 @@ def _exact_scan_vectors(n, pairs, kernel, u, d, bound):
     return sorted(tuple(p[inv[r]] for r in range(dim)) for p in points)
 
 
-def _float_scan_block(args):
-    tau_entries, n, pairs, bound, tol, first_values = args
-    tau = PeriodMatrix.from_float(tau_entries)
+def _float_scan_vectors(tau, u, d, bound, tol, jobs):
+    """Certified (u, d) coefficient vectors whose float residual entries are within the limit."""
     _, rows = _residual_linear_map(tau)
     limit = tol * (1 + tau.max_abs()) ** 2
-    span = range(-bound, bound + 1)
     hits = []
-    for first in first_values:
-        for rest in itertools.product(span, repeat=len(pairs) - 1):
-            vec = (first,) + rest
-            ok = True
-            for row in rows:
-                acc = 0j
-                for coef, a in zip(row, vec):
-                    if a:
-                        acc += a * coef
-                if abs(acc) > limit:
-                    ok = False
-                    break
-            if ok and any(vec):
-                hits.append(vec)
+    for vec in _map_first_entries(_walk_block, (tau.n, u, d, bound, True), bound, jobs):
+        for row in rows:
+            acc = 0j
+            for coef, a in zip(row, vec):
+                if a:
+                    acc += a * coef
+            if abs(acc) > limit:
+                break
+        else:
+            hits.append(vec)
     return hits
-
-
-def _float_scan_vectors(tau, pairs, bound, tol, jobs):
-    est = (2 * bound + 1) ** len(pairs)
-    budget = _budget()
-    if est > budget:
-        raise BudgetExceeded(f"scan space {est} exceeds budget {budget}")
-    tau_entries = [[complex(e) for e in row] for row in tau.rows]
-    firsts = list(range(-bound, bound + 1))
-    if jobs <= 1:
-        blocks = [_float_scan_block((tau_entries, tau.n, pairs, bound, tol, firsts))]
-    else:
-        chunks = [firsts[i::jobs] for i in range(jobs)]
-        chunks = [sorted(c) for c in chunks if c]
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-            blocks = list(ex.map(
-                _float_scan_block,
-                [(tau_entries, tau.n, pairs, bound, tol, c) for c in chunks]))
-    out = []
-    for b in blocks:
-        out.extend(b)
-    return sorted(out)
 
 
 def moebius(s, tau):

@@ -1,18 +1,39 @@
 """Bounded enumeration of candidate classes, period-matrix free.
 
-The search walks the upper-triangle coefficients directly with a linear
-trace pre-filter and an incremental rank bound; the raw space grows as
-(2 bound + 1)^(n (2n - 1)), so a hard budget fails loudly instead of
-hanging.  Override the ceiling with the NSFORGE_BUDGET environment
-variable when a larger run is intended.
+One walker serves ``enumerate_classes`` and the float ``scan_ppav``; the
+exact scan applies its row identity to the lattice points it walks.  The
+walker fills the antisymmetric coefficient matrix M in place, slot by slot
+in row-major order of the upper triangle, so row r of M is complete once
+its last slot (r, 2n - 1) is set.  Three exact tests prune it:
+
+- the trace: certified (u, d) classes have antidiagonal sum -u d, a linear
+  constraint that bounds each antidiagonal slot;
+- the rank: the complete rows of M span at most 2u dimensions (a test on at
+  most 2u rows always passes and is skipped);
+- the row identity (idempotent and typed modes): N = J M satisfies
+  N^2 = d N iff M J M = d M, that is (r_r J) . r_k = -d M_rk for all rows
+  k < r.  It is checked as soon as row r is complete, and where the row's
+  last entry enters it with a nonzero coefficient it is solved for that
+  entry instead of trying every value.
+
+With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
+then 2u), and so fix its (u, d) profile.  The default profile-only mode
+accepts such leaves without a Pfaffian and runs ``check_class`` only on the
+rest, since the profile alone does not imply idempotence.
+
+The raw space grows as (2 bound + 1)^(n (2n - 1)), so a hard budget on it
+fails loudly instead of hanging.  Override the ceiling with the
+NSFORGE_BUDGET environment variable when a larger run is intended.
 """
 
 import os
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 
 from . import _intlinalg as la
-from .errors import BudgetExceeded, NsforgeError, RangeError
-from .exterior import TwoForm, check_class, is_primitive
+from .errors import BudgetExceeded, RangeError
+from .exterior import TwoForm, check_class
 from .normend import _report, analyze, norm_from_class
 
 
@@ -41,81 +62,173 @@ def _budget():
         return 2_000_000
 
 
+def _pairs(n):
+    """Upper-triangle slots (i, j) of a 2n x 2n matrix, row-major."""
+    return [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
+
+
+def _matrix(n, vec):
+    """The antisymmetric 2n x 2n matrix with upper-triangle coefficient vector vec."""
+    mat = la.zeros(2 * n, 2 * n)
+    for (i, j), a in zip(_pairs(n), vec):
+        mat[i][j], mat[j][i] = a, -a
+    return mat
+
+
+def _form(n, vec):
+    """The 2-form with upper-triangle coefficient vector vec."""
+    return TwoForm.from_matrix(n, _matrix(n, vec))
+
+
+def _pairing(ri, rk, n):
+    """(r_i J) . r_k for rows of a 2n x 2n matrix and J = [[0, I], [-I, 0]]."""
+    return sum(map(mul, ri[:n], rk[n:])) - sum(map(mul, ri[n:], rk[:n]))
+
+
+def _row_holds(mat, i, n, d):
+    """Row i's share of M J M = d M: (r_i J) . r_k = -d M_ik for every k < i."""
+    ri = mat[i]
+    return all(_pairing(ri, mat[k], n) + d * ri[k] == 0 for k in range(i))
+
+
+def _identity_holds(mat, n, d):
+    """M J M = d M, checked row by row."""
+    return all(_row_holds(mat, i, n, d) for i in range(2 * n))
+
+
+def _walk(n, u, d, bound, idempotent, first_values=None, use_prefilters=True):
+    """Coefficient vectors of the primitive classes in the box, in walk order.
+
+    Profile-only mode (``idempotent`` false) keeps the leaves whose profile
+    is (u, d); idempotent mode keeps those whose norm matrix certifies at
+    (u, d).  ``use_prefilters`` switches the trace and rank prunes; the row
+    identity always prunes in idempotent mode.
+    """
+    m = 2 * n
+    pairs = _pairs(n)
+    last = len(pairs) - 1
+    target = -u * d
+    span = range(-bound, bound + 1)
+    anti = [j == i + n for i, j in pairs]
+    anti_after = [sum(anti[k + 1:]) for k in range(len(pairs))]
+    # rows 0..i are complete at the last slot of row i; test their rank only
+    # when there are more than 2u of them (the final slot's test is left to
+    # the leaf, where the row identity usually makes it unnecessary)
+    rank_rows = [i + 1 if use_prefilters and j == m - 1 and i + 1 > 2 * u and idx < last else 0
+                 for idx, (i, j) in enumerate(pairs)]
+    final_rank = use_prefilters and m - 1 > 2 * u
+    mat = la.zeros(m, m)
+    vec = [0] * len(pairs)
+    found = []
+
+    def row_solutions(i, values):
+        """The values of M[i][m-1] (now 0) for which row i meets its identities."""
+        ri = mat[i]
+        x = None
+        for k in range(i):
+            rk = mat[k]
+            rest = _pairing(ri, rk, n) + d * ri[k]  # the identity is rest - x * rk[n-1] = 0
+            coef = rk[n - 1]
+            if not coef:
+                if rest:
+                    return ()
+            elif rest % coef or (x is not None and rest // coef != x):
+                return ()
+            else:
+                x = rest // coef
+        if x is None:
+            return values
+        return (x,) if x in values else ()
+
+    def leaf(trace, holds):
+        key = tuple(vec)
+        if gcd(*key) != 1:  # zero or not primitive
+            return
+        if holds and trace == target and _row_holds(mat, m - 1, n, d):
+            found.append(key)  # M J M = d M and trace -u d certify it, so the profile is (u, d)
+        elif (not idempotent and not (final_rank and la.rank_int(mat[:m - 1]) > 2 * u)
+              and check_class(_form(n, key)) == (u, d)):
+            found.append(key)
+
+    def dfs(idx, trace, holds):
+        if idx > last:
+            leaf(trace, holds)
+            return
+        i, j = pairs[idx]
+        ri, rj = mat[i], mat[j]
+        values = first_values if idx == 0 and first_values is not None else span
+        if use_prefilters and anti[idx]:
+            slack = bound * anti_after[idx]
+            lo, hi = target - trace - slack, target - trace + slack
+            values = [a for a in values if lo <= a <= hi]
+        row_ok = values
+        if j == m - 1 and i:  # row i completes here
+            row_ok = row_solutions(i, values)
+            if idempotent:
+                values = row_ok
+        for a in values:
+            ri[j], rj[i] = a, -a
+            vec[idx] = a
+            if rank_rows[idx] and la.rank_int(mat[:rank_rows[idx]]) > 2 * u:
+                continue
+            dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
+        ri[j] = rj[i] = vec[idx] = 0
+
+    dfs(0, 0, True)
+    del dfs  # a recursive closure is a reference cycle: free its state without the collector
+    return found
+
+
+def _walk_block(args):
+    """``_walk(*args)``: the picklable unit of work of a worker pool."""
+    return _walk(*args)
+
+
+def _map_first_entries(fn, head, bound, jobs):
+    """Concatenated ``fn(head + ([a],))`` over the first coefficients a in [-bound, bound].
+
+    One chunk per value, 2 bound + 1 in all; with jobs > 1 they run in
+    min(jobs, 2 bound + 1) worker processes, so ``fn`` must be a module-level
+    function.  The order of the result does not depend on jobs.
+    """
+    payloads = [head + ([a],) for a in range(-bound, bound + 1)]
+    if jobs <= 1:
+        blocks = map(fn, payloads)
+    else:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
+            blocks = list(ex.map(fn, payloads))
+    return [item for block in blocks for item in block]
+
+
 def enumerate_classes(spec, first_entry_values=None):
     """All primitive classes with bounded coefficients certifying at (u, d).
 
     Deterministic lexicographic order on the upper-triangle coefficient
     vector.  ``first_entry_values`` restricts the first coefficient to a
-    subset, which is the partition hook for parallel runs: the union over a
-    partition of [-bound, bound] equals the full run in canonical order.
+    subset of [-bound, bound], which is the partition hook for parallel
+    runs: the union over a partition of [-bound, bound] equals the full run
+    in canonical order.
     """
     n, u, d, bound = spec.n, spec.u, spec.d, spec.bound
     if not spec.allow_large and (n > 4 or bound > 3):
         raise RangeError("enumeration is desk scale: n <= 4, bound <= 3 (override with allow_large)")
-    m = 2 * n
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    est = (2 * bound + 1) ** len(pairs)
+    est = (2 * bound + 1) ** (n * (2 * n - 1))
     if est > _budget():
         raise BudgetExceeded(f"candidate space {est} exceeds budget {_budget()}")
-    anti_slots = {pairs.index((i, n + i)) for i in range(n)}
-    target_trace = -u * d
-    span = list(range(-bound, bound + 1))
-    row_end = {}
-    for idx, (i, j) in enumerate(pairs):
-        row_end[i] = idx  # last index belonging to row i
-    results = []
-    vec = [0] * len(pairs)
-
-    def rank_prune(upto_row):
-        mat = la.zeros(m, m)
-        for idx2, (i, j) in enumerate(pairs):
-            mat[i][j] = vec[idx2]
-            mat[j][i] = -vec[idx2]
-        partial = [mat[r] for r in range(upto_row + 1)]
-        return la.rank_int(partial) <= 2 * u
-
-    def dfs(idx, anti_sum, anti_left):
-        if idx == len(pairs):
-            eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
-            if eta.is_zero() or not is_primitive(eta):
-                return
-            if spec.require_idempotent or spec.require_type is not None:
-                # a verified norm matrix implies the (u, d) profile
-                try:
-                    norm = norm_from_class(eta, u, d)
-                except NsforgeError:
-                    return
-                if spec.require_type is not None:
-                    if _report(eta, norm).type_divisors != tuple(spec.require_type):
-                        return
-            elif check_class(eta) != (u, d):
-                return
-            results.append(eta)
-            return
-        values = first_entry_values if idx == 0 and first_entry_values is not None else span
-        for a in sorted(values):
-            vec[idx] = a
-            if spec.use_prefilters and idx in anti_slots:
-                s = anti_sum + a
-                left = anti_left - 1
-                if s - bound * left > target_trace or s + bound * left < target_trace:
-                    vec[idx] = 0
-                    continue
-                new_sum, new_left = s, left
-            else:
-                new_sum, new_left = anti_sum, anti_left
-            if spec.use_prefilters:
-                row_done = [r for r, e in row_end.items() if e == idx]
-                if row_done and not rank_prune(max(row_done)):
-                    vec[idx] = 0
-                    continue
-            dfs(idx + 1, new_sum, new_left)
-            vec[idx] = 0
-
-    dfs(0, 0, n)
-    del dfs  # a recursive closure is a reference cycle: free its state without the collector
-    results.sort(key=lambda e: e.coefficient_vector())
-    return results
+    if first_entry_values is not None:
+        first_entry_values = sorted(set(first_entry_values))
+        if any(abs(a) > bound for a in first_entry_values):
+            raise RangeError("first entry values must lie in [-bound, bound]")
+    idempotent = spec.require_idempotent or spec.require_type is not None
+    vectors = _walk(n, u, d, bound, idempotent, first_entry_values, spec.use_prefilters)
+    classes = [_form(n, vec) for vec in sorted(vectors)]
+    if spec.require_type is not None:
+        classes = [eta for eta in classes
+                   if _report(eta, norm_from_class(eta, u, d)).type_divisors
+                   == tuple(spec.require_type)]
+    return classes
 
 
 def orbit_equivalent(eta, omega):

@@ -3,7 +3,8 @@
 Forms are dicts mapping sorted index tuples to integer coefficients; wedge
 products are expanded term by term with explicit permutation signs.  Slow
 and simple on purpose: this is the reference the fast Pfaffian path is
-measured against.
+measured against.  The reference searches at the end are the plain walker
+and the full-box float scan that the search paths are checked against.
 """
 
 
@@ -65,3 +66,116 @@ def mixed_intersection_oracle(factors):
         acc = wedge(acc, wedge_power(two_form_dict(eta), r))
     top = tuple(range(2 * n))
     return volume_sign(n) * acc.get(top, 0)
+
+
+# ------------------------------------------------------------------------
+# Reference searches: the straightforward walker and the full-box float scan
+# that the idempotence-first walker of ``nsforge.scan`` replaced.  They share
+# the certification calls and the float residual map with the package, but
+# none of its search code.
+
+
+def reference_enumerate(spec, first_entry_values=None):
+    """``enumerate_classes`` by trace and per-row rank prunes, then per-leaf certification."""
+    from nsforge import _intlinalg as la
+    from nsforge.errors import NsforgeError
+    from nsforge.exterior import TwoForm, check_class, is_primitive
+    from nsforge.normend import _report, norm_from_class
+
+    n, u, d, bound = spec.n, spec.u, spec.d, spec.bound
+    m = 2 * n
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    anti_slots = {pairs.index((i, n + i)) for i in range(n)}
+    target_trace = -u * d
+    span = list(range(-bound, bound + 1))
+    row_end = {}
+    for idx, (i, j) in enumerate(pairs):
+        row_end[i] = idx
+    results = []
+    vec = [0] * len(pairs)
+
+    def rank_prune(upto_row):
+        mat = la.zeros(m, m)
+        for idx2, (i, j) in enumerate(pairs):
+            mat[i][j] = vec[idx2]
+            mat[j][i] = -vec[idx2]
+        return la.rank_int([mat[r] for r in range(upto_row + 1)]) <= 2 * u
+
+    def dfs(idx, anti_sum, anti_left):
+        if idx == len(pairs):
+            eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
+            if eta.is_zero() or not is_primitive(eta):
+                return
+            if spec.require_idempotent or spec.require_type is not None:
+                try:
+                    norm = norm_from_class(eta, u, d)
+                except NsforgeError:
+                    return
+                if spec.require_type is not None:
+                    if _report(eta, norm).type_divisors != tuple(spec.require_type):
+                        return
+            elif check_class(eta) != (u, d):
+                return
+            results.append(eta)
+            return
+        values = first_entry_values if idx == 0 and first_entry_values is not None else span
+        for a in sorted(values):
+            vec[idx] = a
+            new_sum, new_left = anti_sum, anti_left
+            if spec.use_prefilters and idx in anti_slots:
+                new_sum, new_left = anti_sum + a, anti_left - 1
+                if (new_sum - bound * new_left > target_trace
+                        or new_sum + bound * new_left < target_trace):
+                    vec[idx] = 0
+                    continue
+            if spec.use_prefilters:
+                row_done = [r for r, e in row_end.items() if e == idx]
+                if row_done and not rank_prune(max(row_done)):
+                    vec[idx] = 0
+                    continue
+            dfs(idx + 1, new_sum, new_left)
+            vec[idx] = 0
+
+    dfs(0, 0, n)
+    del dfs
+    results.sort(key=lambda e: e.coefficient_vector())
+    return results
+
+
+def reference_float_scan(tau, u, d, bound, tol):
+    """Float ``scan_ppav``: the residual filter over every box point, then certification."""
+    import itertools
+
+    from nsforge.errors import NsforgeError
+    from nsforge.exterior import TwoForm, is_primitive
+    from nsforge.normend import _report, norm_from_class
+    from nsforge.riemann import _residual_linear_map, wedge_vanishes
+
+    n = tau.n
+    pairs, rows = _residual_linear_map(tau)
+    limit = tol * (1 + tau.max_abs()) ** 2
+    reports = []
+    for vec in itertools.product(range(-bound, bound + 1), repeat=len(pairs)):
+        if not any(vec):
+            continue
+        ok = True
+        for row in rows:
+            acc = 0j
+            for coef, a in zip(row, vec):
+                if a:
+                    acc += a * coef
+            if abs(acc) > limit:
+                ok = False
+                break
+        if not ok:
+            continue
+        eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
+        if not is_primitive(eta):
+            continue
+        try:
+            norm = norm_from_class(eta, u, d)
+        except NsforgeError:
+            continue
+        if wedge_vanishes(eta, tau, tol=tol):
+            reports.append(_report(eta, norm))
+    return reports

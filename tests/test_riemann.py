@@ -21,7 +21,9 @@ from nsforge import (
     theta,
     wedge_vanishes,
 )
-from nsforge.errors import DimensionMismatch, NotAnalytic, NotInSiegel, RangeError
+from nsforge import _intlinalg as la
+from nsforge import scan
+from nsforge.errors import BudgetExceeded, DimensionMismatch, NotAnalytic, NotInSiegel, RangeError
 from nsforge.riemann import (
     _residual,
     residual_is_zero,
@@ -33,6 +35,7 @@ from nsforge.riemann import (
 from nsforge._poly import IntPoly
 
 from conftest import constrained_shape_tau, sample_shape_tau, type22_class
+from oracle import reference_float_scan
 
 
 def random_exact_tau(rng, n):
@@ -388,3 +391,96 @@ class TestScan:
         parallel = scan_ppav(tau, 1, 1, 1, jobs=16)
         assert fake_pool == [3]
         assert parallel == serial
+
+
+def _qqi_coefficient_lattice(tau):
+    """The vanishing lattice built from Gaussian-rational residual rows, each cleared by its lcm."""
+    from math import lcm
+
+    pairs, rows = riemann._residual_linear_map(tau)
+    integer_rows = []
+    for row in rows:
+        for comp in ([x.re for x in row], [x.im for x in row]):
+            denom = lcm(*(f.denominator for f in comp))
+            integer_rows.append([int(f * denom) for f in comp])
+    return la.kernel_basis(integer_rows)
+
+
+def _agreement_taus():
+    rng = random.Random(5)
+    taus = [random_exact_tau(rng, rng.choice([2, 3, 4])) for _ in range(140)]
+    taus += [sample_shape_tau(), is_realizable(type22_class()).tau]
+    taus += [standard_witness(n, u, t)[0] for n, u, t in ((5, 2, (1, 2)), (6, 3, (1, 1, 1)))]
+    return taus
+
+
+def _float_scan_taus():
+    rng = random.Random(99)
+    entries = [[0j, 0j], [0j, 0j]]
+    entries[0][0] = complex(rng.uniform(-0.6, 0.6), 1.3)
+    entries[1][1] = complex(rng.uniform(-0.6, 0.6), 2.1)
+    entries[0][1] = entries[1][0] = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.1, 0.1))
+    diag = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+    witness = standard_witness(2, 1, (2,))[0]
+    conjugates = [moebius(random_symplectic(2, seed, 3), tau).to_float()
+                  for tau, seed in ((diag, 3), (diag, 8), (witness, 5))]
+    return [PeriodMatrix.from_float(entries), diag.to_float(), witness.to_float()] + conjugates
+
+
+class TestSearchCore:
+    def test_integer_lattice_equals_gaussian_rational_lattice(self):
+        for tau in _agreement_taus():
+            _, kernel = riemann._coefficient_lattice(tau)
+            assert la.lattice_basis(kernel) == la.lattice_basis(_qqi_coefficient_lattice(tau))
+
+    @pytest.mark.parametrize("u,d,bound", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2),
+                                           (1, 2, 2), (2, 2, 2), (1, 1, 3), (2, 1, 3)])
+    def test_float_scan_matches_full_box_reference(self, u, d, bound):
+        for tau in _float_scan_taus():
+            expected = reference_float_scan(tau, u, d, bound, riemann.DEFAULT_TOL)
+            assert scan_ppav(tau, u, d, bound) == expected
+
+    def test_float_scan_partitioned_matches_reference(self, fake_pool):
+        for tau in _float_scan_taus():
+            for u, d, bound in ((1, 1, 2), (1, 2, 3)):
+                expected = reference_float_scan(tau, u, d, bound, riemann.DEFAULT_TOL)
+                assert scan_ppav(tau, u, d, bound, jobs=2) == expected
+        assert set(fake_pool) == {2}
+
+    def test_exact_scan_certifies_only_identity_points(self, monkeypatch):
+        certified = []
+        original = riemann.norm_from_class
+
+        def counted(eta, u, d):
+            certified.append((eta, d))
+            return original(eta, u, d)
+
+        monkeypatch.setattr(riemann, "norm_from_class", counted)
+        reports = scan_ppav(is_realizable(type22_class()).tau, 2, 2, 1)
+        assert type22_class() in [r.eta for r in reports]
+        j = la.standard_j(4)
+        for eta, d in certified:
+            m = [list(r) for r in eta.mat]
+            assert la.mat_mul(la.mat_mul(m, j), m) == la.mat_scale(d, m)
+        assert len(certified) == len(reports)
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_d_below_one_returns_before_walking(self, monkeypatch, backend):
+        tau = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+        if backend == "float":
+            tau = tau.to_float()
+
+        def no_walk(*args):
+            pytest.fail("scan walked for an exponent below 1")
+
+        for name in ("_coefficient_lattice", "_exact_scan_vectors", "_float_scan_vectors"):
+            monkeypatch.setattr(riemann, name, no_walk)
+        monkeypatch.setattr(scan, "_walk", no_walk)
+        for d in (0, -1):
+            assert scan_ppav(tau, 1, d, 1) == []
+
+    def test_float_budget_error_comes_before_the_exponent_check(self, monkeypatch):
+        monkeypatch.setenv("NSFORGE_BUDGET", "100")
+        tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
+        with pytest.raises(BudgetExceeded, match="scan space 729 exceeds budget 100"):
+            scan_ppav(tau, 1, 0, 1)

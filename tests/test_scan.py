@@ -12,7 +12,10 @@ from nsforge import (
     random_symplectic,
     standard_witness,
 )
+from nsforge import exterior, scan
 from nsforge.errors import BudgetExceeded, RangeError
+
+from oracle import reference_enumerate
 
 
 class TestEnumerate:
@@ -123,3 +126,82 @@ class TestOrbitEquivalence:
 
     def test_different_exponents(self):
         assert not orbit_equivalent(elliptic_class(2, 2), elliptic_class(3, 2))
+
+
+def _type_choices(u, d):
+    """Nondecreasing divisor chains of length u ending in d: the types a (u, d) class can have."""
+    divisors = [k for k in range(1, d + 1) if d % k == 0]
+    chains = [(d,)]
+    for _ in range(u - 1):
+        chains = [(k,) + c for c in chains for k in divisors if c[0] % k == 0]
+    return chains
+
+
+ENUM_GRID = [(2, u, d, b) for u in (1, 2) for d in (1, 2, 3) for b in (1, 2)] + [(2, 1, 2, 3)]
+
+
+class TestReferenceWalker:
+    """The walker equals the plain reference walker of ``tests/oracle.py`` in every mode."""
+
+    @pytest.mark.parametrize("n,u,d,bound", ENUM_GRID)
+    def test_every_mode_matches_reference(self, n, u, d, bound):
+        specs = [EnumerationSpec(n, u, d, bound),
+                 EnumerationSpec(n, u, d, bound, require_idempotent=True)]
+        if bound == 1:
+            specs += [EnumerationSpec(n, u, d, bound, use_prefilters=False),
+                      EnumerationSpec(n, u, d, bound, require_idempotent=True,
+                                      use_prefilters=False)]
+        if bound <= 2:
+            specs += [EnumerationSpec(n, u, d, bound, require_type=t) for t in _type_choices(u, d)]
+        for spec in specs:
+            assert enumerate_classes(spec) == reference_enumerate(spec), spec
+
+    @pytest.mark.parametrize("spec", [EnumerationSpec(2, 1, 1, 2),
+                                      EnumerationSpec(2, 2, 1, 2),
+                                      EnumerationSpec(2, 1, 2, 2, require_idempotent=True),
+                                      EnumerationSpec(2, 2, 2, 2, require_type=(2, 2))])
+    def test_partitions_match_reference(self, spec):
+        full = reference_enumerate(spec)
+        span = list(range(-spec.bound, spec.bound + 1))
+        for chunks in (2, 3):
+            merged = []
+            for w in range(chunks):
+                merged.extend(enumerate_classes(spec, first_entry_values=span[w::chunks]))
+            merged.sort(key=lambda e: e.coefficient_vector())
+            assert merged == full
+
+    def test_first_entry_values_out_of_range(self):
+        spec = EnumerationSpec(2, 1, 1, 1)
+        for values in ([2, 5], [0, 2], [-2]):
+            with pytest.raises(RangeError, match="first entry values"):
+                enumerate_classes(spec, first_entry_values=values)
+
+    def test_first_entry_values_deduplicated(self):
+        spec = EnumerationSpec(2, 1, 1, 1)
+        once = enumerate_classes(spec, first_entry_values=[0])
+        assert len(once) == 30
+        assert enumerate_classes(spec, first_entry_values=[0, 0]) == once
+        assert enumerate_classes(spec, first_entry_values=[1, -1, 1, 0]) == enumerate_classes(spec)
+
+
+class TestWalkerWork:
+    """Work guards: certification runs only where the row identity leaves a doubt."""
+
+    def test_profile_only_unit_rank_needs_no_pfaffian(self, monkeypatch):
+        calls = []
+        original = exterior.intersection_profile
+        monkeypatch.setattr(exterior, "intersection_profile",
+                            lambda eta: calls.append(eta) or original(eta))
+        assert len(enumerate_classes(EnumerationSpec(2, 1, 2, 3))) == 980
+        assert calls == []
+
+    def test_idempotent_mode_certifies_hits_at_most_once(self, monkeypatch):
+        calls = []
+        original = scan.norm_from_class
+        monkeypatch.setattr(scan, "norm_from_class",
+                            lambda eta, *a: calls.append(eta) or original(eta, *a))
+        hits = enumerate_classes(EnumerationSpec(2, 2, 1, 2, require_idempotent=True))
+        assert len(calls) <= len(hits)
+        calls.clear()
+        typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
+        assert len(typed) == 244 and len(calls) == len(set(calls)) == 244
