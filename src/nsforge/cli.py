@@ -299,34 +299,33 @@ _COMMANDS = {
 }
 
 
-def run(argv):
-    """Parse and execute; returns a CommandResult without touching streams."""
+def _run(argv):
+    """Parse once and execute: the CommandResult and the --out path, if one was parsed."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         if exc.code == 0:  # --help and friends
             raise
-        return CommandResult("error", {"error": {"code": "Usage", "message": "bad arguments"}}, [])
+        return CommandResult("error", {"error": {"code": "Usage", "message": "bad arguments"}}, []), None
     try:
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
     except NsforgeError as exc:
-        return CommandResult("error", {"error": {"code": exc.code, "message": str(exc)}}, [])
+        result = CommandResult("error", {"error": {"code": exc.code, "message": str(exc)}}, [])
     except Exception as exc:  # malformed input must not escape as a traceback
-        return CommandResult(
+        result = CommandResult(
             "error",
             {"error": {"code": type(exc).__name__, "message": str(exc)}}, [])
+    return result, args.outfile
+
+
+def run(argv):
+    """Parse and execute; returns a CommandResult without touching streams."""
+    return _run(argv)[0]
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    outfile = None
-    for i, token in enumerate(argv):
-        if token == "--out" and i + 1 < len(argv):
-            outfile = argv[i + 1]
-        elif token.startswith("--out="):
-            outfile = token[len("--out="):]
-    result = run(argv)
+    result, outfile = _run(sys.argv[1:] if argv is None else list(argv))
     text = jsonio.dumps(result.payload)
     if result.status == "error":
         sys.stderr.write(text)

@@ -124,17 +124,20 @@ def analyze(eta):
     return _report(eta, norm_from_class(eta))
 
 
+def _image_type(norm):
+    """The saturated image lattice of a verified norm matrix and the type of theta on it."""
+    columns = la.transpose([list(r) for r in norm.mat])
+    image = saturate([c for c in columns if any(c)])
+    divisors = frobenius_basis(gram_matrix(la.standard_j(norm.n), image.basis)).divisors
+    if divisors[-1] != norm.d:
+        raise TypeExponentMismatch(f"largest divisor {divisors[-1]} != exponent {norm.d}")
+    return image, divisors
+
+
 def _report(eta, norm):
     """The certificate of a class whose norm matrix has already been verified."""
     n, u, d = norm.n, norm.u, norm.d
-    columns = la.transpose([list(r) for r in norm.mat])
-    image = saturate([c for c in columns if any(c)])
-    j = la.standard_j(n)
-    gram = gram_matrix(j, image.basis)
-    frob = frobenius_basis(gram)
-    divisors = frob.divisors
-    if divisors[-1] != d:
-        raise TypeExponentMismatch(f"largest divisor {divisors[-1]} != exponent {d}")
+    image, divisors = _image_type(norm)
     if u < n:
         kernel = la.kernel_basis([list(r) for r in norm.mat])
         kernel_lat = IntegerLattice(2 * n, tuple(tuple(v) for v in kernel))

@@ -7,14 +7,16 @@ vanishes for tau when eta ^ dz_1 ^ ... ^ dz_n = 0, equivalently when the
 residual R, its restriction to the kernel of (tau | I), is zero.  Exact
 decisions test q^2 R over the integers; the float backend keeps the wedge
 expansion, whose exact form (``wedge_coefficients``) is the test reference.
+Both backends of ``scan_ppav`` search with ``scan._walk``.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import _intlinalg as la
+from . import scan
 from ._gaussian import QQi
 from ._poly import IntPoly
 from .errors import (
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .exterior import TwoForm
 from .normend import _report, analyze, norm_from_class
-from .scan import _budget, _form, _identity_holds, _map_first_entries, _matrix, _pairs, _walk_block
+from .scan import _budget, _form, _map_first_entries, _pairs, _walk_block
 
 EXACT = "exact"
 FLOAT = "float"
@@ -452,81 +454,15 @@ def _coefficient_lattice(tau):
     return pairs, la.kernel_basis(la.transpose(columns))
 
 
-def _box_lattice_points(basis_cols, bound, offset=None, node_budget=None):
-    """All vectors offset + (lattice point) with sup-norm <= bound.
-
-    The basis is put in column echelon form, so each successive coefficient
-    is constrained exactly through its pivot row; a coordinate is checked as
-    soon as the last column touching it has been chosen.
-    """
-    if not basis_cols:
-        if offset is not None and all(abs(x) <= bound for x in offset):
-            return [tuple(offset)]
-        return []
-    dim = len(basis_cols[0])
-    cols = la.lattice_basis(basis_cols)
-    if not cols:
-        base_vec = offset or [0] * dim
-        return [tuple(base_vec)] if all(abs(x) <= bound for x in base_vec) else []
-    pivots = [next(r for r in range(dim) if col[r]) for col in cols]
-    finalize = [[] for _ in cols]
-    for r in range(dim):
-        last = -1
-        for ci, col in enumerate(cols):
-            if col[r]:
-                last = ci
-        if last >= 0:
-            finalize[last].append(r)
-    fixed_rows = [r for r in range(dim) if all(col[r] == 0 for col in cols)]
-    results = []
-    partial = list(offset) if offset is not None else [0] * dim
-    if any(abs(partial[r]) > bound for r in fixed_rows):
-        return []
-    nodes = [0]
-
-    def dfs(ci):
-        if node_budget is not None:
-            nodes[0] += 1
-            if nodes[0] > node_budget:
-                raise BudgetExceeded("lattice point enumeration exceeded node budget")
-        if ci == len(cols):
-            results.append(tuple(partial))
-            return
-        col = cols[ci]
-        support = [r for r in range(dim) if col[r]]
-        p = pivots[ci]
-        base = partial[p]
-        pv = col[p]
-        # exact integer range for c with |base + c * pv| <= bound
-        a, b = -bound - base, bound - base
-        if pv > 0:
-            lo_i, hi_i = -((-a) // pv), b // pv
-        else:
-            lo_i, hi_i = -((-b) // pv), a // pv
-        for c in range(lo_i, hi_i + 1):
-            if c:
-                for r in support:
-                    partial[r] += c * col[r]
-            if all(abs(partial[r]) <= bound for r in finalize[ci]):
-                dfs(ci + 1)
-            if c:
-                for r in support:
-                    partial[r] -= c * col[r]
-
-    dfs(0)
-    del dfs  # a recursive closure is a reference cycle: free the points without the collector
-    return sorted(results)
-
-
 def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     """All certified classes with bounded coefficients detected on tau.
 
     Returns the analyze report of every primitive 2-form with coefficients
     in [-bound, bound] that has a valid norm matrix at (u, d), which implies
     the (u, d) profile, and vanishes for tau, in lexicographic coefficient order.
-    The exact backend walks the vanishing lattice and rejects points failing
-    M J M = d M before certifying them; the float backend walks the certified
-    classes (``scan._walk``) and keeps those within the residual tolerance.
+    Both backends walk with ``scan._walk``, pruning on M J M = d M and the
+    trace: the exact one the box points of the vanishing lattice, the float
+    one the box, keeping the classes within the residual tolerance.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
@@ -540,9 +476,7 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     if d < 1:  # no class has a profile with exponent below 1
         return []
     if tau.backend == EXACT:
-        pairs, kernel = _coefficient_lattice(tau)
-        vectors = [vec for vec in _exact_scan_vectors(n, pairs, kernel, u, d, bound)
-                   if gcd(*vec) == 1 and _identity_holds(_matrix(n, vec), n, d)]
+        vectors = scan._walk(n, u, d, bound, True, _coefficient_lattice(tau)[1])
     else:
         vectors = _float_scan_vectors(tau, u, d, bound, tol, jobs)
     reports = []
@@ -556,47 +490,12 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     return reports
 
 
-def _exact_scan_vectors(n, pairs, kernel, u, d, bound):
-    """Box points of the vanishing lattice meeting the exact trace constraint.
-
-    Certified (u, d) classes satisfy the linear identity
-    sum_i a_{i, n+i} = -u d, so the search runs over a coset of a sublattice
-    one rank down, which prunes the box walk sharply.
-    """
-    if not kernel:
-        return []
-    trace_row = [1 if j == i + n else 0 for (i, j) in pairs]
-    lin = [sum(t * col[r] for r, t in enumerate(trace_row) if t) for col in kernel]
-    particular = la.solve_integer([lin], [-u * d])
-    if particular is None:
-        return []
-    dim = len(pairs)
-    offset = [sum(c * kernel[k][r] for k, c in enumerate(particular)) for r in range(dim)]
-    sub_coeffs = la.kernel_basis([lin])
-    sub_basis = []
-    for combo in sub_coeffs:
-        vec = [sum(c * kernel[k][r] for k, c in enumerate(combo)) for r in range(dim)]
-        sub_basis.append(vec)
-    # put the constrained antidiagonal coordinates first for early pruning
-    anti = [idx for idx, (i, j) in enumerate(pairs) if j == i + n]
-    rest = [idx for idx in range(dim) if idx not in set(anti)]
-    order = anti + rest
-    inv = [0] * dim
-    for pos, r in enumerate(order):
-        inv[r] = pos
-    perm_offset = [offset[r] for r in order]
-    perm_basis = [[col[r] for r in order] for col in sub_basis]
-    points = _box_lattice_points(perm_basis, bound, offset=perm_offset,
-                                 node_budget=20_000_000)
-    return sorted(tuple(p[inv[r]] for r in range(dim)) for p in points)
-
-
 def _float_scan_vectors(tau, u, d, bound, tol, jobs):
     """Certified (u, d) coefficient vectors whose float residual entries are within the limit."""
     _, rows = _residual_linear_map(tau)
     limit = tol * (1 + tau.max_abs()) ** 2
     hits = []
-    for vec in _map_first_entries(_walk_block, (tau.n, u, d, bound, True), bound, jobs):
+    for vec in _map_first_entries(_walk_block, (tau.n, u, d, bound, True, None), bound, jobs):
         for row in rows:
             acc = 0j
             for coef, a in zip(row, vec):

@@ -1,29 +1,31 @@
 """Bounded enumeration of candidate classes, period-matrix free.
 
-One walker serves ``enumerate_classes`` and the float ``scan_ppav``; the
-exact scan applies its row identity to the lattice points it walks.  The
-walker fills the antisymmetric coefficient matrix M in place, slot by slot
-in row-major order of the upper triangle, so row r of M is complete once
-its last slot (r, 2n - 1) is set.  Three exact tests prune it:
+One walker, ``_walk``, serves ``enumerate_classes`` and both ``scan_ppav``
+backends.  It fills the antisymmetric coefficient matrix M in place, slot by
+slot in row-major order of the upper triangle, so row r of M is complete
+once its last slot (r, 2n - 1) is set.  It walks the whole box, or the box
+points of a lattice (the exact scan's vanishing lattice, ``_lattice_steps``).
+Three exact tests prune it:
 
 - the trace: certified (u, d) classes have antidiagonal sum -u d, a linear
-  constraint that bounds each antidiagonal slot;
+  constraint that bounds each antidiagonal slot and fixes the last one;
 - the rank: the complete rows of M span at most 2u dimensions (a test on at
   most 2u rows always passes and is skipped);
-- the row identity (idempotent and typed modes): N = J M satisfies
-  N^2 = d N iff M J M = d M, that is (r_r J) . r_k = -d M_rk for all rows
-  k < r.  It is checked as soon as row r is complete, and where the row's
-  last entry enters it with a nonzero coefficient it is solved for that
-  entry instead of trying every value.
+- the row identity (idempotent and typed modes, and both scans): N = J M
+  satisfies N^2 = d N iff M J M = d M, that is (r_r J) . r_k = -d M_rk for
+  all rows k < r.  It is checked as soon as row r is complete, and where the
+  row's last entry enters it with a nonzero coefficient it is solved for
+  that entry instead of trying every value.
 
 With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
 then 2u), and so fix its (u, d) profile.  The default profile-only mode
 accepts such leaves without a Pfaffian and runs ``check_class`` only on the
 rest, since the profile alone does not imply idempotence.
 
-The raw space grows as (2 bound + 1)^(n (2n - 1)), so a hard budget on it
-fails loudly instead of hanging.  Override the ceiling with the
-NSFORGE_BUDGET environment variable when a larger run is intended.
+The raw box grows as (2 bound + 1)^(n (2n - 1)), so ``enumerate_classes``
+and the float scan refuse one above a hard budget instead of hanging (raise
+it with the NSFORGE_BUDGET environment variable).  A lattice walk counts
+its nodes instead and fails past ``_LATTICE_NODE_BUDGET``.
 """
 
 import os
@@ -34,7 +36,7 @@ from operator import mul
 from . import _intlinalg as la
 from .errors import BudgetExceeded, RangeError
 from .exterior import TwoForm, check_class
-from .normend import _report, analyze, norm_from_class
+from .normend import _image_type, analyze, norm_from_class
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ class EnumerationSpec:
             raise RangeError("need 1 <= u <= n")
         if self.d < 1 or self.bound < 1:
             raise RangeError("need d >= 1 and bound >= 1")
+
+
+_LATTICE_NODE_BUDGET = 20_000_000  # nodes of one lattice walk (the exact scan)
 
 
 def _budget():
@@ -91,18 +96,33 @@ def _row_holds(mat, i, n, d):
     return all(_pairing(ri, mat[k], n) + d * ri[k] == 0 for k in range(i))
 
 
-def _identity_holds(mat, n, d):
-    """M J M = d M, checked row by row."""
-    return all(_row_holds(mat, i, n, d) for i in range(2 * n))
+def _lattice_steps(dim, cols):
+    """Per slot, how a walk over the lattice with echelon basis ``cols`` fills it.
+
+    Column pivots (first nonzero entries) are positive and in increasing
+    slots, as in ``la.kernel_basis``.  A pivot slot gets (pivot, the later
+    entries of its column, the later slots that column is the last to
+    touch); any other slot gets pivot 0: the chosen columns force its value.
+    """
+    last_col = {r: k for k, col in enumerate(cols) for r in range(dim) if col[r]}
+    steps = [(0, (), ())] * dim
+    for k, col in enumerate(cols):
+        p = next(r for r in range(dim) if col[r])
+        steps[p] = (col[p], [(r, col[r]) for r in range(p + 1, dim) if col[r]],
+                    [r for r in range(p + 1, dim) if last_col.get(r) == k])
+    return steps
 
 
-def _walk(n, u, d, bound, idempotent, first_values=None, use_prefilters=True):
+def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefilters=True):
     """Coefficient vectors of the primitive classes in the box, in walk order.
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
     (u, d).  ``use_prefilters`` switches the trace and rank prunes; the row
-    identity always prunes in idempotent mode.
+    identity always prunes in idempotent mode.  ``lattice``, an echelon basis
+    in slot order (``_lattice_steps``), restricts the walk to its points;
+    such a walk counts its nodes and raises ``BudgetExceeded`` past
+    ``_LATTICE_NODE_BUDGET``.
     """
     m = 2 * n
     pairs = _pairs(n)
@@ -117,8 +137,11 @@ def _walk(n, u, d, bound, idempotent, first_values=None, use_prefilters=True):
     rank_rows = [i + 1 if use_prefilters and j == m - 1 and i + 1 > 2 * u and idx < last else 0
                  for idx, (i, j) in enumerate(pairs)]
     final_rank = use_prefilters and m - 1 > 2 * u
+    steps = [None] * len(pairs) if lattice is None else _lattice_steps(len(pairs), lattice)
+    budget, nodes = _LATTICE_NODE_BUDGET, 0
     mat = la.zeros(m, m)
     vec = [0] * len(pairs)
+    partial = [0] * len(pairs)  # each slot's sum over the lattice columns chosen so far
     found = []
 
     def row_solutions(i, values):
@@ -151,12 +174,26 @@ def _walk(n, u, d, bound, idempotent, first_values=None, use_prefilters=True):
             found.append(key)
 
     def dfs(idx, trace, holds):
+        nonlocal nodes
         if idx > last:
             leaf(trace, holds)
             return
         i, j = pairs[idx]
         ri, rj = mat[i], mat[j]
-        values = first_values if idx == 0 and first_values is not None else span
+        step = steps[idx]
+        if step is None:  # a box slot
+            values = first_values if idx == 0 and first_values is not None else span
+            tail = ()
+        else:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"lattice walk exceeded its budget of {budget} nodes")
+            piv, tail, finals = step
+            base = partial[idx]
+            if not piv:  # forced by the columns already chosen
+                values = (base,)
+            else:  # the pivot's residue class in [-bound, bound]
+                values = span if piv == 1 else range(base - (base + bound) // piv * piv, bound + 1, piv)
         if use_prefilters and anti[idx]:
             slack = bound * anti_after[idx]
             lo, hi = target - trace - slack, target - trace + slack
@@ -171,7 +208,18 @@ def _walk(n, u, d, bound, idempotent, first_values=None, use_prefilters=True):
             vec[idx] = a
             if rank_rows[idx] and la.rank_int(mat[:rank_rows[idx]]) > 2 * u:
                 continue
+            if tail:  # add the column's multiple to the later slots, bound-check the finished ones
+                c = (a - base) // piv
+                for r, x in tail:
+                    partial[r] += c * x
+                if not all(-bound <= partial[r] <= bound for r in finals):
+                    for r, x in tail:
+                        partial[r] -= c * x
+                    continue
             dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
+            if tail:
+                for r, x in tail:
+                    partial[r] -= c * x
         ri[j] = rj[i] = vec[idx] = 0
 
     dfs(0, 0, True)
@@ -222,12 +270,11 @@ def enumerate_classes(spec, first_entry_values=None):
         if any(abs(a) > bound for a in first_entry_values):
             raise RangeError("first entry values must lie in [-bound, bound]")
     idempotent = spec.require_idempotent or spec.require_type is not None
-    vectors = _walk(n, u, d, bound, idempotent, first_entry_values, spec.use_prefilters)
+    vectors = _walk(n, u, d, bound, idempotent, None, first_entry_values, spec.use_prefilters)
     classes = [_form(n, vec) for vec in sorted(vectors)]
     if spec.require_type is not None:
         classes = [eta for eta in classes
-                   if _report(eta, norm_from_class(eta, u, d)).type_divisors
-                   == tuple(spec.require_type)]
+                   if _image_type(norm_from_class(eta, u, d))[1] == tuple(spec.require_type)]
     return classes
 
 

@@ -3,8 +3,9 @@
 Forms are dicts mapping sorted index tuples to integer coefficients; wedge
 products are expanded term by term with explicit permutation signs.  Slow
 and simple on purpose: this is the reference the fast Pfaffian path is
-measured against.  The reference searches at the end are the plain walker
-and the full-box float scan that the search paths are checked against.
+measured against.  The reference searches at the end are the plain walker,
+the full-box float scan and the trace-coset exact scan that the search
+paths are checked against.
 """
 
 
@@ -69,10 +70,11 @@ def mixed_intersection_oracle(factors):
 
 
 # ------------------------------------------------------------------------
-# Reference searches: the straightforward walker and the full-box float scan
-# that the idempotence-first walker of ``nsforge.scan`` replaced.  They share
-# the certification calls and the float residual map with the package, but
-# none of its search code.
+# Reference searches: the straightforward walker, the full-box float scan and
+# the exact scan over the trace coset of the vanishing lattice, which the
+# idempotence-first walker of ``nsforge.scan`` replaced.  They share the
+# certification calls, the float residual map and the vanishing lattice with
+# the package, but none of its search code.
 
 
 def reference_enumerate(spec, first_entry_values=None):
@@ -178,4 +180,95 @@ def reference_float_scan(tau, u, d, bound, tol):
             continue
         if wedge_vanishes(eta, tau, tol=tol):
             reports.append(_report(eta, norm))
+    return reports
+
+
+def _box_lattice_points(basis_cols, bound, offset):
+    """All vectors offset + (lattice point) with sup-norm <= bound.
+
+    The basis is put in column echelon form, so each successive coefficient
+    is constrained exactly through its pivot row; a coordinate is checked as
+    soon as the last column touching it has been chosen.
+    """
+    from nsforge import _intlinalg as la
+
+    dim = len(offset)
+    cols = la.lattice_basis(basis_cols)
+    pivots = [next(r for r in range(dim) if col[r]) for col in cols]
+    finalize = [[] for _ in cols]
+    for r in range(dim):
+        touching = [ci for ci, col in enumerate(cols) if col[r]]
+        if touching:
+            finalize[touching[-1]].append(r)
+    fixed_rows = [r for r in range(dim) if all(col[r] == 0 for col in cols)]
+    partial = list(offset)
+    if any(abs(partial[r]) > bound for r in fixed_rows):
+        return []
+    results = []
+
+    def dfs(ci):
+        if ci == len(cols):
+            results.append(tuple(partial))
+            return
+        col = cols[ci]
+        support = [r for r in range(dim) if col[r]]
+        p = pivots[ci]
+        base, pv = partial[p], col[p]  # pivots are positive
+        for c in range(-((bound + base) // pv), (bound - base) // pv + 1):
+            for r in support:
+                partial[r] += c * col[r]
+            if all(abs(partial[r]) <= bound for r in finalize[ci]):
+                dfs(ci + 1)
+            for r in support:
+                partial[r] -= c * col[r]
+
+    dfs(0)
+    del dfs
+    return sorted(results)
+
+
+def _exact_scan_vectors(n, pairs, kernel, u, d, bound):
+    """Box points of the vanishing lattice on the coset of antidiagonal sum -u d."""
+    from nsforge import _intlinalg as la
+
+    if not kernel:
+        return []
+    trace_row = [1 if j == i + n else 0 for (i, j) in pairs]
+    lin = [sum(t * col[r] for r, t in enumerate(trace_row) if t) for col in kernel]
+    particular = la.solve_integer([lin], [-u * d])
+    if particular is None:
+        return []
+    dim = len(pairs)
+    offset = [sum(c * kernel[k][r] for k, c in enumerate(particular)) for r in range(dim)]
+    sub_basis = [[sum(c * kernel[k][r] for k, c in enumerate(combo)) for r in range(dim)]
+                 for combo in la.kernel_basis([lin])]
+    # the constrained antidiagonal coordinates first, for early pruning
+    anti = [idx for idx, (i, j) in enumerate(pairs) if j == i + n]
+    order = anti + [idx for idx in range(dim) if idx not in anti]
+    points = _box_lattice_points([[col[r] for r in order] for col in sub_basis], bound,
+                                 [offset[r] for r in order])
+    inv = {r: pos for pos, r in enumerate(order)}
+    return sorted(tuple(p[inv[r]] for r in range(dim)) for p in points)
+
+
+def reference_exact_scan(tau, u, d, bound):
+    """Exact ``scan_ppav``: the trace coset of the vanishing lattice in the box, then M J M = d M."""
+    from math import gcd
+
+    from nsforge import _intlinalg as la
+    from nsforge.exterior import TwoForm
+    from nsforge.normend import _report, norm_from_class
+    from nsforge.riemann import _coefficient_lattice
+
+    n = tau.n
+    pairs, kernel = _coefficient_lattice(tau)
+    j = la.standard_j(n)
+    reports = []
+    for vec in _exact_scan_vectors(n, pairs, kernel, u, d, bound):
+        if gcd(*vec) != 1:
+            continue
+        eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
+        m = [list(r) for r in eta.mat]
+        if la.mat_mul(la.mat_mul(m, j), m) == la.mat_scale(d, m):
+            reports.append(_report(eta, norm_from_class(eta, u, d)))
     return reports

@@ -136,6 +136,15 @@ class TestRoundTrips:
         assert proc.returncode == 0 and proc.stdout == ""
         assert json.loads(out.read_text())["values"] == [24, 16, 0, 0]
 
+    @pytest.mark.parametrize("spelling", [["--ou", "{}"], ["--out={}"]])
+    def test_out_file_other_spellings(self, tmp_path, spelling):
+        """argparse accepts an unambiguous prefix and the = form; the file must follow it."""
+        out = tmp_path / "result.json"
+        proc = run_cli(["profile", "--in", write_json(tmp_path, "e.json", ETA0)]
+                       + [token.format(out) for token in spelling])
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert json.loads(out.read_text())["values"] == [24, 16, 0, 0]
+
     def test_enum_with_spec_file(self, tmp_path):
         spec = {"n": 2, "u": 2, "d": 1, "bound": 1, "require_idempotent": True}
         proc = run_cli(["enum", "--in", write_json(tmp_path, "s.json", spec)])

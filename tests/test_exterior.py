@@ -283,6 +283,23 @@ class TestModLCheck:
                     seen += res.qr_ok
         assert seen >= 6  # the certified forms pass at their own (u, d)
 
+    def test_congruence_follows_from_qr_on_the_desk_probe(self):
+        """Every n = 2 form with |a| <= 1, primitive mod theta, u <= 2, d <= 3: qr_ok => congruence_ok."""
+        import itertools
+
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        qr_ok = 0
+        for vec in itertools.product((-1, 0, 1), repeat=len(pairs)):
+            eta = TwoForm.from_coeffs(2, {p: a for p, a in zip(pairs, vec) if a})
+            if eta.is_zero() or not is_primitive_mod_theta(eta):
+                continue
+            for u in (1, 2):
+                for d in (1, 2, 3):
+                    res = check_class_mod_L(eta, u, d)
+                    assert res.congruence_ok or not res.qr_ok, (vec, u, d)
+                    qr_ok += res.qr_ok
+        assert qr_ok == 680
+
     def test_principal_is_imprimitive_mod_itself(self):
         assert not is_primitive_mod_theta(theta(4))
         with pytest.raises(NotPrimitiveModL):

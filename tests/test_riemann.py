@@ -35,7 +35,7 @@ from nsforge.riemann import (
 from nsforge._poly import IntPoly
 
 from conftest import constrained_shape_tau, sample_shape_tau, type22_class
-from oracle import reference_float_scan
+from oracle import reference_exact_scan, reference_float_scan
 
 
 def random_exact_tau(rng, n):
@@ -393,6 +393,10 @@ class TestScan:
         assert parallel == serial
 
 
+def type22_class_tau():
+    return is_realizable(type22_class()).tau
+
+
 def _qqi_coefficient_lattice(tau):
     """The vanishing lattice built from Gaussian-rational residual rows, each cleared by its lcm."""
     from math import lcm
@@ -427,7 +431,37 @@ def _float_scan_taus():
     return [PeriodMatrix.from_float(entries), diag.to_float(), witness.to_float()] + conjugates
 
 
+def _exact_scan_taus():
+    """Witnesses (n, 1, (t,)) for n = 2, 3 and t <= 3 with three conjugates each, and iI."""
+    taus = []
+    for n in (2, 3):
+        for t in (1, 2, 3):
+            tau = standard_witness(n, 1, (t,))[0]
+            taus += [tau] + [moebius(random_symplectic(n, s, 3), tau) for s in (1, 2, 3)]
+        taus.append(PeriodMatrix.exact([[QQi(0, int(i == j)) for j in range(n)] for i in range(n)]))
+    return taus
+
+
 class TestSearchCore:
+    def test_exact_scan_matches_trace_coset_reference(self):
+        cases = [(type22_class_tau(), 2, 2, 1)]
+        for tau in _exact_scan_taus():
+            cases += [(tau, u, d, b) for u in range(1, tau.n + 1) for d in (1, 2, 3)
+                      for b in ((1, 2) if tau.n == 2 else (1,))]
+        hits = 0
+        for tau, u, d, b in cases:
+            reports = scan_ppav(tau, u, d, b)
+            assert reports == reference_exact_scan(tau, u, d, b), (tau, u, d, b)
+            hits += len(reports)
+        assert len(cases) == 1 + 13 * 12 + 13 * 9 and hits > 0
+
+    def test_exact_scan_node_budget(self, monkeypatch):
+        tau = type22_class_tau()
+        assert scan_ppav(tau, 2, 2, 1)
+        monkeypatch.setattr(scan, "_LATTICE_NODE_BUDGET", 50)
+        with pytest.raises(BudgetExceeded, match="budget of 50 nodes"):
+            scan_ppav(tau, 2, 2, 1)
+
     def test_integer_lattice_equals_gaussian_rational_lattice(self):
         for tau in _agreement_taus():
             _, kernel = riemann._coefficient_lattice(tau)
@@ -473,7 +507,7 @@ class TestSearchCore:
         def no_walk(*args):
             pytest.fail("scan walked for an exponent below 1")
 
-        for name in ("_coefficient_lattice", "_exact_scan_vectors", "_float_scan_vectors"):
+        for name in ("_coefficient_lattice", "_float_scan_vectors"):
             monkeypatch.setattr(riemann, name, no_walk)
         monkeypatch.setattr(scan, "_walk", no_walk)
         for d in (0, -1):

@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from nsforge import (
@@ -12,7 +14,7 @@ from nsforge import (
     random_symplectic,
     standard_witness,
 )
-from nsforge import exterior, scan
+from nsforge import exterior, normend, scan
 from nsforge.errors import BudgetExceeded, RangeError
 
 from oracle import reference_enumerate
@@ -205,3 +207,14 @@ class TestWalkerWork:
         calls.clear()
         typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
         assert len(typed) == 244 and len(calls) == len(set(calls)) == 244
+
+    def test_typed_mode_computes_only_the_type(self, monkeypatch):
+        """No kernel lattice per hit: the report's kernel_basis call is never made."""
+        calls = []
+        la = normend.la
+        proxy = types.SimpleNamespace(**vars(la))
+        proxy.kernel_basis = lambda a: calls.append(a) or la.kernel_basis(a)
+        monkeypatch.setattr(normend, "la", proxy)
+        typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
+        assert len(typed) == 244 and calls == []
+        assert normend.analyze(typed[0]).type_divisors == (2,) and len(calls) == 1
