@@ -1,10 +1,11 @@
 """Linear algebra on small dense matrices, exact by default.
 
 Matrices are lists (or tuples) of rows.  The lattice routines (Hermite form,
-kernels, ranks, Bareiss determinants) take Python ints; the ring-generic
-helpers (``mat_mul``, ``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_vec``)
-take entries of any ring that mixes with ints -- int, Fraction, QQi,
-complex, IntPoly -- and ``solve_fraction`` works over any exact field.
+kernels, ranks, Bareiss determinants, characteristic polynomials) take
+Python ints; the ring-generic helpers (``mat_mul``, ``mat_add``,
+``mat_sub``, ``mat_scale``, ``mat_vec``) take entries of any ring that mixes
+with ints -- int, Fraction, QQi, complex, IntPoly -- and ``solve_fraction``
+works over any exact field.
 Sizes stay at desk scale (<= 12 or so), so the simple cubic algorithms
 below are the right tool.
 """
@@ -105,6 +106,41 @@ def det_bareiss(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def charpoly(a, k):
+    """The leading coefficients 1, c_1, ..., c_k of det(s I - a) = s^m + c_1 s^(m-1) + ... + c_m.
+
+    Faddeev--LeVerrier over Z: M_1 = I, c_j = -tr(a M_j) / j and
+    M_(j+1) = a M_j + c_j I; for an integer matrix every c_j is an integer, so
+    each division is exact.  The products a M_j combine rows of M_j over the
+    nonzero entries of a only: symplectic images of small classes are sparse,
+    and on them a dense product is slower than the Pfaffian it replaces.
+    """
+    m = len(a)
+    terms = [[(col, x) for col, x in enumerate(row) if x] for row in a]
+    coeffs = [1]
+    mj = identity(m)
+    for j in range(1, k + 1):
+        c, rem = divmod(-sum(x * mj[col][i] for i, row in enumerate(terms) for col, x in row), j)
+        assert not rem, "internal: a Faddeev-LeVerrier division over Z is not exact"
+        coeffs.append(c)
+        if j < k:
+            mj = [list(r) for r in a] if j == 1 else [_row_combination(t, mj, m) for t in terms]
+            for i in range(m):
+                mj[i][i] += c
+    return coeffs
+
+
+def _row_combination(terms, rows, width):
+    """sum(x * rows[col] for col, x in terms) as a list of the given width."""
+    if not terms:
+        return [0] * width
+    (col, x), rest = terms[0], terms[1:]
+    out = [x * y for y in rows[col]]
+    for col, x in rest:
+        out = [o + x * y for o, y in zip(out, rows[col])]
+    return out
 
 
 def rank_int(a):

@@ -5,6 +5,11 @@ coefficient matrix.  Intersection numbers of products of 2-form classes are
 measured in units of the reference volume form, normalized so that the n-th
 power of the principal class equals n! times that unit; the normalization is
 pinned by a dedicated test anchor rather than trusted from the derivation.
+
+The numbers of eta against the principal class (the profile, ``check_class``,
+``check_class_mod_L`` and ``q_r``) come from one characteristic polynomial of
+N = J M, since Pf(t M + Theta)^2 = det(I + t N); ``mixed_intersection`` with
+general factors reads a symbolic Pfaffian in one variable per factor.
 """
 
 from dataclasses import dataclass
@@ -164,12 +169,24 @@ def _pencil_pfaffian(forms):
     return IntPoly() + pfaffian(sym)
 
 
-def _pencil_numbers(eta, omega):
-    """eta^r . omega^(n-r) for r = 0..n, all read off one Pfaffian of x eta + y omega."""
+def _pencil_numbers(eta):
+    """eta^r . theta^(n-r) for r = 0..n, from the characteristic polynomial of N = J M.
+
+    Pf(t M + Theta)^2 = det(I + t N), whose coefficients are e_k(N) = (-1)^k c_k,
+    so Pf(t M + Theta) = Pf(Theta) q(t) for the integer square root q with
+    q(0) = 1.  Since Pf(Theta) = volume_sign(n), the two signs cancel and the
+    number is r! (n-r)! q_r; every halving below is exact.
+    """
     n = eta.n
-    pf = _pencil_pfaffian([eta, omega])
-    return [volume_sign(n) * factorial(r) * factorial(n - r)
-            * pf.coefficient((0,) * r + (1,) * (n - r)) for r in range(n + 1)]
+    mat = eta.mat
+    nmat = [*mat[n:], *([-x for x in row] for row in mat[:n])]  # J M
+    e = [c if k % 2 == 0 else -c for k, c in enumerate(la.charpoly(nmat, n))]
+    q = [1]
+    for k in range(1, n + 1):
+        half, odd = divmod(e[k] - sum(q[i] * q[k - i] for i in range(1, k)), 2)
+        assert not odd, "internal: det(I + t N) is not the square of an integer polynomial"
+        q.append(half)
+    return [factorial(r) * factorial(n - r) * q[r] for r in range(n + 1)]
 
 
 def mixed_intersection(factors):
@@ -196,7 +213,7 @@ def mixed_intersection(factors):
 
 def intersection_profile(eta):
     """All mixed numbers of eta^r against the principal class, r = 1..n."""
-    return IntersectionProfile(eta.n, tuple(_pencil_numbers(eta, theta(eta.n))[1:]))
+    return IntersectionProfile(eta.n, tuple(_pencil_numbers(eta)[1:]))
 
 
 def is_primitive(eta):
@@ -253,9 +270,7 @@ def q_r(eta, r):
     n = eta.n
     if not 2 <= r <= n:
         raise RangeError("need 2 <= r <= n")
-    nat = natural_class(eta)
-    inter = mixed_intersection([(nat, r), (theta(n), n - r)])
-    return Fraction(-inter, (r - 1) * factorial(n))
+    return Fraction(-_pencil_numbers(natural_class(eta))[r], (r - 1) * factorial(n))
 
 
 def f_formula(u, r, n):
@@ -296,11 +311,13 @@ class ModLCheck:
 def check_class_mod_L(eta, u, d):
     """Test the (u, d) characterization modulo the principal class line.
 
-    The trace congruence and the q_r identities are reported separately: the
-    congruence is conjecturally redundant and experiments may want to probe
-    it on its own.  The desk-scale probe in the tests finds no counterexample:
-    over every n = 2 form with coefficients in {-1, 0, 1} that is primitive
-    mod theta, and u <= 2, d <= 3, all 680 qr_ok cases are congruence_ok.
+    Every q_r comes from one characteristic polynomial of the natural class
+    n! eta - i1 theta, as in ``q_r``.  The trace congruence and the q_r
+    identities are reported separately: the congruence is conjecturally
+    redundant and experiments may want to probe it on its own.  The
+    desk-scale probe in the tests finds no counterexample: over every n = 2
+    form with coefficients in {-1, 0, 1} that is primitive mod theta, and
+    u <= 2, d <= 3, all 680 qr_ok cases are congruence_ok.
     """
     n = eta.n
     if not 1 <= u <= n or d < 1:
@@ -309,8 +326,7 @@ def check_class_mod_L(eta, u, d):
         raise NotPrimitiveModL("class is a multiple modulo the principal line")
     i1 = intersection_profile(eta).values[0]
     congruence_ok = (i1 - factorial(n - 1) * u * d) % factorial(n) == 0
-    # every q_r from one Pfaffian of the natural class n! eta - i1 theta against theta
-    inter = _pencil_numbers(factorial(n) * eta - i1 * theta(n), theta(n))
+    inter = _pencil_numbers(factorial(n) * eta - i1 * theta(n))
     qr_ok = all(Fraction(-inter[r], (r - 1) * factorial(n)) == f_formula(u, r, n) * d ** r
                 for r in range(2, n + 1))
     return ModLCheck(congruence_ok, qr_ok)

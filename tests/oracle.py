@@ -2,8 +2,10 @@
 
 Forms are dicts mapping sorted index tuples to integer coefficients; wedge
 products are expanded term by term with explicit permutation signs.  Slow
-and simple on purpose: this is the reference the fast Pfaffian path is
-measured against.  The reference searches at the end are the plain walker,
+and simple on purpose: this is the reference the fast paths are measured
+against.  The reference invariants below are the symbolic
+Pfaffian pencil, the point-by-point characteristic polynomial and the
+saturated image; the reference searches at the end are the plain walker,
 the full-box float scan and the trace-coset exact scan that the search
 paths are checked against.
 """
@@ -67,6 +69,48 @@ def mixed_intersection_oracle(factors):
         acc = wedge(acc, wedge_power(two_form_dict(eta), r))
     top = tuple(range(2 * n))
     return volume_sign(n) * acc.get(top, 0)
+
+
+# ------------------------------------------------------------------------
+# Reference invariants: the symbolic Pfaffian pencil, the point-by-point
+# characteristic polynomial and the saturated image, which the package's
+# characteristic-polynomial and kernel paths are checked against.
+
+
+def reference_pencil_numbers(eta):
+    """eta^r . theta^(n-r), r = 0..n, read off one symbolic Pfaffian of x eta + y theta."""
+    from math import factorial
+
+    from nsforge._poly import IntPoly
+    from nsforge.exterior import pfaffian, theta
+
+    n = eta.n
+    pencil = [[IntPoly.var(0, x) + IntPoly.var(1, y) for x, y in zip(row, theta_row)]
+              for row, theta_row in zip(eta.mat, theta(n).mat)]
+    pf = IntPoly() + pfaffian(pencil)
+    return [volume_sign(n) * factorial(r) * factorial(n - r)
+            * pf.coefficient((0,) * r + (1,) * (n - r)) for r in range(n + 1)]
+
+
+def reference_char_ok(norm):
+    """det(t I - N) == t^(2n-2u) (t - d)^(2u), decided at the 2n + 1 points t = 0..2n."""
+    from nsforge import _intlinalg as la
+
+    size, u, d = 2 * norm.n, norm.u, norm.d
+    return all(
+        la.det_bareiss([[(t if i == k else 0) - x for k, x in enumerate(row)]
+                        for i, row in enumerate(norm.mat)])
+        == t ** (size - 2 * u) * (t - d) ** (2 * u)
+        for t in range(size + 1))
+
+
+def reference_image_basis(norm):
+    """Basis of the saturated span of the columns of N, by ``saturate``."""
+    from nsforge import _intlinalg as la
+    from nsforge.symplectic import saturate
+
+    columns = la.transpose([list(r) for r in norm.mat])
+    return saturate([c for c in columns if any(c)]).basis
 
 
 # ------------------------------------------------------------------------

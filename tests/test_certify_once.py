@@ -81,28 +81,30 @@ def test_norm_certificate_implies_profile_and_complement():
 
 
 class _Counter:
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch, name, module=exterior):
         self.calls = 0
-        original = getattr(exterior, name)
+        original = getattr(module, name)
 
         def counted(*args, **kwargs):
             self.calls += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(exterior, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
 
-def test_profile_is_one_pfaffian(monkeypatch):
+def test_profile_is_one_charpoly(monkeypatch):
+    cp = _Counter(monkeypatch, "charpoly", la)
     pf = _Counter(monkeypatch, "pfaffian")
     assert intersection_profile(type22_class()).values == (24, 16, 0, 0)
-    assert pf.calls == 1
+    assert (cp.calls, pf.calls) == (1, 0)
 
 
-def test_analyze_is_one_pfaffian(monkeypatch):
+def test_analyze_is_one_charpoly(monkeypatch):
+    cp = _Counter(monkeypatch, "charpoly", la)
     pf = _Counter(monkeypatch, "pfaffian")
     report = analyze(type22_class())
     assert (report.u, report.d, report.type_divisors) == (2, 2, (2, 2))
-    assert pf.calls == 1
+    assert (cp.calls, pf.calls) == (1, 0)
 
 
 def test_scan_does_not_reprofile(monkeypatch):

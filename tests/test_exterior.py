@@ -259,7 +259,7 @@ class TestModLCheck:
         assert not res.qr_ok and not res.ok
 
     def test_qr_ok_matches_per_r_definition(self):
-        # check_class_mod_L reads every q_r off one Pfaffian; q_r is the per-r oracle
+        # check_class_mod_L reads every q_r at once; q_r is the per-r definition
         from nsforge import elliptic_class
 
         rng = random.Random(17)

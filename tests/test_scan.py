@@ -209,12 +209,16 @@ class TestWalkerWork:
         assert len(typed) == 244 and len(calls) == len(set(calls)) == 244
 
     def test_typed_mode_computes_only_the_type(self, monkeypatch):
-        """No kernel lattice per hit: the report's kernel_basis call is never made."""
+        """No kernel lattice per hit: the one kernel per hit is the image, ker(N - d I)."""
         calls = []
         la = normend.la
         proxy = types.SimpleNamespace(**vars(la))
         proxy.kernel_basis = lambda a: calls.append(a) or la.kernel_basis(a)
         monkeypatch.setattr(normend, "la", proxy)
         typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
-        assert len(typed) == 244 and calls == []
-        assert normend.analyze(typed[0]).type_divisors == (2,) and len(calls) == 1
+        assert len(typed) == 244
+        shift = la.mat_scale(2, la.identity(4))
+        assert (sorted(normend.class_from_norm(la.mat_add(a, shift)).coefficient_vector()
+                       for a in calls) == sorted(eta.coefficient_vector() for eta in typed))
+        calls.clear()
+        assert normend.analyze(typed[0]).type_divisors == (2,) and len(calls) == 2
