@@ -8,8 +8,10 @@ pinned by a dedicated test anchor rather than trusted from the derivation.
 
 The numbers of eta against the principal class (the profile, ``check_class``,
 ``check_class_mod_L`` and ``q_r``) come from one characteristic polynomial of
-N = J M, since Pf(t M + Theta)^2 = det(I + t N); ``mixed_intersection`` with
-general factors reads a symbolic Pfaffian in one variable per factor.
+N = J M, since Pf(t M + Theta)^2 = det(I + t N); the first of them, which
+the natural class needs, is read off the trace of N alone.
+``mixed_intersection`` with general factors reads a symbolic Pfaffian in one
+variable per factor.
 """
 
 from dataclasses import dataclass
@@ -257,10 +259,16 @@ def check_class(eta):
     return (u, d)
 
 
+def _first_number(eta):
+    """eta . theta^(n-1) from the trace: (n-1)! q_1, where 2 q_1 = tr(J M) = -2 sum_i M[i][n+i]."""
+    n = eta.n
+    return -factorial(n - 1) * sum(eta.mat[i][n + i] for i in range(n))
+
+
 def natural_class(eta):
     """Projection away from the principal class: n! eta - (eta . L^{n-1}) theta."""
     n = eta.n
-    i1 = intersection_profile(eta).values[0]
+    i1 = _first_number(eta)
     m = la.mat_sub(la.mat_scale(factorial(n), eta.mat), la.mat_scale(i1, theta(n).mat))
     return TwoForm.from_matrix(n, m)
 
@@ -324,9 +332,9 @@ def check_class_mod_L(eta, u, d):
         raise RangeError("need 1 <= u <= n and d >= 1")
     if not is_primitive_mod_theta(eta):
         raise NotPrimitiveModL("class is a multiple modulo the principal line")
-    i1 = intersection_profile(eta).values[0]
+    i1 = _first_number(eta)
     congruence_ok = (i1 - factorial(n - 1) * u * d) % factorial(n) == 0
-    inter = _pencil_numbers(factorial(n) * eta - i1 * theta(n))
+    inter = _pencil_numbers(natural_class(eta))
     qr_ok = all(Fraction(-inter[r], (r - 1) * factorial(n)) == f_formula(u, r, n) * d ** r
                 for r in range(2, n + 1))
     return ModLCheck(congruence_ok, qr_ok)

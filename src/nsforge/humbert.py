@@ -18,7 +18,7 @@ from .errors import (
     RangeError,
 )
 from .exterior import TwoForm, check_class
-from .riemann import RelationSet, symbolic_relations, tau_var_index
+from .riemann import RelationSet, tau_var_index
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,3 @@ def humbert_relation(s):
             + s.d_rel * (IntPoly.var(v11) * IntPoly.var(v22) - IntPoly.var(v12) * IntPoly.var(v12))
             + IntPoly.const(s.e))
     return RelationSet(2, (poly,) if poly else ())
-
-
-def pointwise_relation(s):
-    """The exact vanishing locus of eta_from_singular(s) on the half space."""
-    return symbolic_relations(eta_from_singular(s))

@@ -4,12 +4,16 @@ polynomial relations a class imposes on the Siegel upper half space.
 Two numeric backends coexist: an exact one over Gaussian rationals for
 golden tests and certificates, and a binary64 one for scanning.  A class
 vanishes for tau when eta ^ dz_1 ^ ... ^ dz_n = 0, equivalently when the
-residual R, its restriction to the kernel of (tau | I), is zero.  Exact
-decisions test q^2 R over the integers; the float backend keeps the wedge
-expansion, whose exact form (``wedge_coefficients``) is the test reference.
-Both backends of ``scan_ppav`` search with ``scan._walk``.
+residual R = P M P^T with P = (I | -tau), the restriction to the kernel of
+(tau | I), is zero.  As a map of the coefficients of eta, R has the 2 x 2
+minors of P as coefficients.  Exact decisions test q^2 R over the integers,
+as the congruence by the integer period block of q P; the float scan
+filters with the minors of P.  The wedge expansion
+(``wedge_coefficients``) is the test reference.  Both backends of
+``scan_ppav`` search with ``scan._walk``.
 """
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +30,6 @@ from .errors import (
     NotInSiegel,
     RangeError,
 )
-from .exterior import TwoForm
 from .normend import _report, analyze, norm_from_class
 from .scan import _budget, _form, _map_first_entries, _pairs, _walk_block
 
@@ -49,6 +52,8 @@ class PeriodMatrix:
             raise RangeError(f"unknown backend {self.backend!r}")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise DimensionMismatch("period matrix must be n x n")
+        if self.backend == FLOAT and not all(cmath.isfinite(e) for row in self.rows for e in row):
+            raise NotInSiegel("period matrix entries must be finite")
         for i in range(self.n):
             for j in range(self.n):
                 if self.rows[i][j] != self.rows[j][i]:
@@ -236,44 +241,52 @@ def wedge_vanishes(eta, tau, tol=DEFAULT_TOL):
     return all(abs(v) <= bound for v in wedge_coefficients(eta, tau).values())
 
 
-def _blocks(eta, n):
-    """The four n x n blocks of the coefficient matrix of an n-dimensional eta."""
-    if eta.n != n:
-        raise DimensionMismatch("form and period matrix sizes differ")
-    m = eta.mat
-    a = [[m[i][j] for j in range(n)] for i in range(n)]
-    b = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    c = [[m[n + i][j] for j in range(n)] for i in range(n)]
-    d = [[m[n + i][n + j] for j in range(n)] for i in range(n)]
-    return a, b, c, d
-
-
 def _residual(eta, t):
     """R = M11 - t M21 - M12 t + t M22 t over the ring of the entries of t."""
-    m11, m12, m21, m22 = _blocks(eta, len(t))
-    term2 = la.mat_mul(t, m21)
-    term3 = la.mat_mul(m12, t)
-    term4 = la.mat_mul(la.mat_mul(t, m22), t)
+    n = len(t)
+    if eta.n != n:
+        raise DimensionMismatch("form and period matrix sizes differ")
+    top, bottom = eta.mat[:n], eta.mat[n:]
+    term2 = la.mat_mul(t, [r[:n] for r in bottom])
+    term3 = la.mat_mul([r[n:] for r in top], t)
+    term4 = la.mat_mul(la.mat_mul(t, [r[n:] for r in bottom]), t)
     return [[a - b - c + d for a, b, c, d in zip(*rows)]
-            for rows in zip(m11, term2, term3, term4)]
+            for rows in zip((r[:n] for r in top), term2, term3, term4)]
+
+
+def _period_block(tau):
+    """q, the lcm of the denominators of an exact tau = (A + iB) / q, and Q = [[qI, -A], [0, -B]].
+
+    The rows of Q are the real and imaginary parts of q (I | -tau).
+    """
+    n = tau.n
+    q = lcm(*(x.denominator for row in tau.rows for e in row for x in (e.re, e.im)))
+    top = [[q if i == k else 0 for i in range(n)]
+           + [-e.re.numerator * (q // e.re.denominator) for e in row]
+           for k, row in enumerate(tau.rows)]
+    bottom = [[0] * n + [-e.im.numerator * (q // e.im.denominator) for e in row]
+              for row in tau.rows]
+    return q, top + bottom
+
+
+def _minors(p, r, s, pairs):
+    """Minors of rows r, s of p on the column pairs: (p M p^T)_rs on the basis 2-forms."""
+    pr, ps = p[r], p[s]
+    return [pr[i] * ps[j] - pr[j] * ps[i] for i, j in pairs]
 
 
 def _int_residual(eta, tau):
-    """q^2 and the integer matrices Re, Im of q^2 R for an exact tau = (A + iB) / q:
+    """q^2 and the integer matrices Re, Im of q^2 R for an exact tau.
 
-    Re = q^2 M11 - q (A M21 + M12 A) + A M22 A - B M22 B,
-    Im = -q (B M21 + M12 B) + A M22 B + B M22 A, with q the lcm of the denominators.
+    With the period block Q and S = Q M Q^T: Re = S11 - S22, Im = S12 + S21.
     """
-    m11, m12, m21, m22 = _blocks(eta, tau.n)
-    q = lcm(*(x.denominator for row in tau.rows for e in row for x in (e.re, e.im)))
-    a = [[e.re.numerator * (q // e.re.denominator) for e in row] for row in tau.rows]
-    b = [[e.im.numerator * (q // e.im.denominator) for e in row] for row in tau.rows]
-    mul, add, sub = la.mat_mul, la.mat_add, la.mat_sub
-    am22, bm22 = mul(a, m22), mul(b, m22)
-    re = [[q * q * x - q * y + z for x, y, z in zip(*rows)] for rows in zip(
-        m11, add(mul(a, m21), mul(m12, a)), sub(mul(am22, a), mul(bm22, b)))]
-    im = [[z - q * y for y, z in zip(*rows)] for rows in zip(
-        add(mul(b, m21), mul(m12, b)), add(mul(am22, b), mul(bm22, a)))]
+    n = tau.n
+    if eta.n != n:
+        raise DimensionMismatch("form and period matrix sizes differ")
+    q, block = _period_block(tau)
+    s = la.mat_mul(la.mat_mul(block, eta.mat), la.transpose(block))
+    re = [[s[k][l] - s[n + k][n + l] for l in range(n)] for k in range(n)]
+    im = [[s[k][n + l] + s[n + k][l] for l in range(n)] for k in range(n)]
     return q * q, re, im
 
 
@@ -410,48 +423,26 @@ def _rank_generic(mat, backend, tol=DEFAULT_TOL):
     return rank
 
 
-def _residual_linear_map(tau):
-    """Residual entries as linear functionals of the packed 2-form coefficients.
-
-    Returns (pairs, rows) where pairs indexes the upper-triangle coefficient
-    slots of a 2-form and rows[e] lists, for each strictly-upper residual
-    entry e, the backend scalar multiplying each coefficient.
-    """
-    n = tau.n
-    pairs = _pairs(n)
-    rows = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            rows.append([])
-    for (i, j) in pairs:
-        basis_form = TwoForm.from_coeffs(n, {(i, j): 1})
-        r = residual_matrix(basis_form, tau)
-        e = 0
-        for k in range(n):
-            for l in range(k + 1, n):
-                rows[e].append(r[k][l])
-                e += 1
-    return pairs, rows
-
-
 def _coefficient_lattice(tau):
     """Saturated integer lattice of 2-forms vanishing at an exact tau.
 
-    The linear map sends the packed coefficients to the real and imaginary
-    parts of the strictly-upper entries of q^2 R, read off ``_int_residual``
-    of each basis 2-form: integers over the common q^2, which the kernel
-    does not see.
+    The map sends the packed coefficients to Re and Im of the strictly-upper
+    entries (k, l) of q^2 R; in the minors [r, s] of the period block they are
+    [k, l] - [n+k, n+l] and [k, n+l] + [n+k, l].  The kernel ignores q^2.
     """
     n = tau.n
     pairs = _pairs(n)
     upper = [(k, l) for k in range(n) for l in range(k + 1, n)]
     if not upper:
         return pairs, [list(c) for c in zip(*la.identity(len(pairs)))]
-    columns = []
-    for p in pairs:
-        _, re, im = _int_residual(TwoForm.from_coeffs(n, {p: 1}), tau)
-        columns.append([part[k][l] for k, l in upper for part in (re, im)])
-    return pairs, la.kernel_basis(la.transpose(columns))
+    _, block = _period_block(tau)
+    rows = []
+    for k, l in upper:
+        rows.append([x - y for x, y in zip(_minors(block, k, l, pairs),
+                                           _minors(block, n + k, n + l, pairs))])
+        rows.append([x + y for x, y in zip(_minors(block, k, n + l, pairs),
+                                           _minors(block, n + k, l, pairs))])
+    return pairs, la.kernel_basis(rows)
 
 
 def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
@@ -492,7 +483,7 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
 
 def _float_scan_vectors(tau, u, d, bound, tol, jobs):
     """Certified (u, d) coefficient vectors whose float residual entries are within the limit."""
-    _, rows = _residual_linear_map(tau)
+    rows = _float_rows(tau)
     limit = tol * (1 + tau.max_abs()) ** 2
     hits = []
     for vec in _map_first_entries(_walk_block, (tau.n, u, d, bound, True, None), bound, jobs):
@@ -506,6 +497,14 @@ def _float_scan_vectors(tau, u, d, bound, tol, jobs):
         else:
             hits.append(vec)
     return hits
+
+
+def _float_rows(tau):
+    """The float residual map: row (k, l) holds the minors of rows k, l of P = (I | -tau)."""
+    n = tau.n
+    pairs = _pairs(n)
+    p = [[complex(i == k) for i in range(n)] + [-e for e in row] for k, row in enumerate(tau.rows)]
+    return [_minors(p, k, l, pairs) for k in range(n) for l in range(k + 1, n)]
 
 
 def moebius(s, tau):

@@ -37,10 +37,6 @@ class IntegerLattice:
     def rank(self):
         return len(self.basis)
 
-    def basis_matrix(self):
-        """dim x rank matrix whose columns are the basis."""
-        return la.transpose([list(b) for b in self.basis]) if self.basis else [[] for _ in range(self.dim)]
-
     def __contains__(self, vector):
         if not self.basis:
             return not any(vector)

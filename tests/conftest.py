@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,7 +8,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fractions import Fraction
 
+import nsforge
 from nsforge import PeriodMatrix, QQi, TwoForm
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _subprocesses_import_the_package_under_test():
+    """`python -m nsforge` children find the package also when only pytest's `pythonpath` did."""
+    src = str(Path(nsforge.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        yield
 
 
 def type22_class():

@@ -117,8 +117,9 @@ def reference_image_basis(norm):
 # Reference searches: the straightforward walker, the full-box float scan and
 # the exact scan over the trace coset of the vanishing lattice, which the
 # idempotence-first walker of ``nsforge.scan`` replaced.  They share the
-# certification calls, the float residual map and the vanishing lattice with
-# the package, but none of its search code.
+# certification calls with the package, but none of its search code: their
+# residual map and vanishing lattice are built basis 2-form by basis 2-form
+# through the public ``residual_matrix``.
 
 
 def reference_enumerate(spec, first_entry_values=None):
@@ -188,6 +189,45 @@ def reference_enumerate(spec, first_entry_values=None):
     return results
 
 
+def reference_residual_rows(tau):
+    """The residual map basis 2-form by basis 2-form, through the public ``residual_matrix``.
+
+    Returns (pairs, rows): pairs are the upper-triangle coefficient slots of a
+    2-form, and rows[e] lists, for each strictly-upper residual entry e in
+    row-major order, the backend scalar multiplying each coefficient.
+    """
+    from nsforge.exterior import TwoForm
+    from nsforge.riemann import residual_matrix
+
+    n = tau.n
+    pairs = [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
+    columns = []
+    for p in pairs:
+        r = residual_matrix(TwoForm.from_coeffs(n, {p: 1}), tau)
+        columns.append([r[k][l] for k in range(n) for l in range(k + 1, n)])
+    return pairs, [list(row) for row in zip(*columns)]
+
+
+def reference_coefficient_lattice(tau):
+    """The vanishing lattice of an exact tau: the kernel of the Gaussian-rational residual rows.
+
+    The real and imaginary part of each row are cleared by their own lcm.
+    """
+    from math import lcm
+
+    from nsforge import _intlinalg as la
+
+    pairs, rows = reference_residual_rows(tau)
+    integer_rows = []
+    for row in rows:
+        for comp in ([x.re for x in row], [x.im for x in row]):
+            denom = lcm(*(f.denominator for f in comp))
+            integer_rows.append([int(f * denom) for f in comp])
+    if not integer_rows:
+        return pairs, [list(c) for c in zip(*la.identity(len(pairs)))]
+    return pairs, la.kernel_basis(integer_rows)
+
+
 def reference_float_scan(tau, u, d, bound, tol):
     """Float ``scan_ppav``: the residual filter over every box point, then certification."""
     import itertools
@@ -195,10 +235,10 @@ def reference_float_scan(tau, u, d, bound, tol):
     from nsforge.errors import NsforgeError
     from nsforge.exterior import TwoForm, is_primitive
     from nsforge.normend import _report, norm_from_class
-    from nsforge.riemann import _residual_linear_map, wedge_vanishes
+    from nsforge.riemann import wedge_vanishes
 
     n = tau.n
-    pairs, rows = _residual_linear_map(tau)
+    pairs, rows = reference_residual_rows(tau)
     limit = tol * (1 + tau.max_abs()) ** 2
     reports = []
     for vec in itertools.product(range(-bound, bound + 1), repeat=len(pairs)):
@@ -302,10 +342,9 @@ def reference_exact_scan(tau, u, d, bound):
     from nsforge import _intlinalg as la
     from nsforge.exterior import TwoForm
     from nsforge.normend import _report, norm_from_class
-    from nsforge.riemann import _coefficient_lattice
 
     n = tau.n
-    pairs, kernel = _coefficient_lattice(tau)
+    pairs, kernel = reference_coefficient_lattice(tau)
     j = la.standard_j(n)
     reports = []
     for vec in _exact_scan_vectors(n, pairs, kernel, u, d, bound):

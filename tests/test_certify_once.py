@@ -19,14 +19,17 @@ from nsforge import (
     TwoForm,
     analyze,
     check_class,
+    check_class_mod_L,
     complementary_class,
     enumerate_classes,
     exterior,
     intersection_profile,
     is_primitive,
     is_realizable,
+    natural_class,
     norm_from_class,
     pfaffian,
+    q_r,
     scan_ppav,
     theta,
 )
@@ -105,6 +108,18 @@ def test_analyze_is_one_charpoly(monkeypatch):
     report = analyze(type22_class())
     assert (report.u, report.d, report.type_divisors) == (2, 2, (2, 2))
     assert (cp.calls, pf.calls) == (1, 0)
+
+
+def test_natural_class_reads_i1_off_the_trace(monkeypatch):
+    """The natural class needs only eta . theta^(n-1): no characteristic polynomial of its own."""
+    eta = type22_class()
+    cp = _Counter(monkeypatch, "charpoly", la)
+    assert natural_class(eta) == 24 * eta - 24 * theta(4)
+    assert cp.calls == 0
+    assert check_class_mod_L(eta, 2, 2).ok
+    assert cp.calls == 1
+    assert q_r(eta, 2) == 192
+    assert cp.calls == 2
 
 
 def test_scan_does_not_reprofile(monkeypatch):

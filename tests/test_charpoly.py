@@ -110,6 +110,14 @@ def test_profile_matches_pfaffian_pencil():
         assert intersection_profile(eta).values == tuple(reference_pencil_numbers(eta)[1:]), eta
 
 
+def test_natural_class_matches_profile():
+    """The trace formula for eta . theta^(n-1) against the first profile value."""
+    for eta in _seeded_forms():
+        n = eta.n
+        i1 = intersection_profile(eta).values[0]
+        assert natural_class(eta) == factorial(n) * eta - i1 * theta(n), eta
+
+
 def test_q_r_matches_mixed_intersection():
     rng = random.Random(31)
     forms = [eta for eta in _seeded_forms() if 2 <= eta.n <= 5 and not eta.is_zero()]

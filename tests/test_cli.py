@@ -196,6 +196,22 @@ class TestErrors:
                         "--tau", write_json(tmp_path, "t.json", tau)])
         self._assert_json_error(proc, "RangeError")
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    def test_non_finite_float_tau_entry(self, tmp_path, command, value):
+        # json writes the literal Infinity / NaN, which json.loads reads back as a float
+        tau = {"n": 2, "backend": "float",
+               "entries": [[[value, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]}
+        args = ["--tau", write_json(tmp_path, "t.json", tau)]
+        if command == "analytic":
+            eta = {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": -1}]}
+            args += ["--in", write_json(tmp_path, "e.json", eta)]
+        else:
+            args += ["--u", "1", "--d", "1", "--bound", "1"]
+        proc = run_cli([command] + args)
+        self._assert_json_error(proc, "NotInSiegel")
+        assert "finite" in json.loads(proc.stderr)["error"]["message"]
+
     @pytest.mark.parametrize("u", ["0", "3"])
     def test_scan_u_out_of_range(self, tmp_path, u):
         tau = {"n": 2, "backend": "exact",

@@ -35,7 +35,12 @@ from nsforge.riemann import (
 from nsforge._poly import IntPoly
 
 from conftest import constrained_shape_tau, sample_shape_tau, type22_class
-from oracle import reference_exact_scan, reference_float_scan
+from oracle import (
+    reference_coefficient_lattice,
+    reference_exact_scan,
+    reference_float_scan,
+    reference_residual_rows,
+)
 
 
 def random_exact_tau(rng, n):
@@ -81,6 +86,13 @@ class TestPeriodMatrixValidation:
             PeriodMatrix.exact([[QQi(0, -1)]])
         with pytest.raises(NotInSiegel):
             PeriodMatrix.from_float([[1j, 2j], [2j, 1j]])
+
+    @pytest.mark.parametrize("bad", [complex("inf"), complex("nan"), complex(0.5, float("inf")),
+                                     complex(float("-inf"), 1)])
+    def test_non_finite_float_rejected(self, bad):
+        for rows in ([[bad, 0.1], [0.1, 2j]], [[1j, bad], [bad, 2j]]):
+            with pytest.raises(NotInSiegel, match="entries must be finite"):
+                PeriodMatrix.from_float(rows)
 
     def test_valid_float(self):
         tau = PeriodMatrix.from_float([[0.5 + 1j, 0.1], [0.1, 2j]])
@@ -397,19 +409,6 @@ def type22_class_tau():
     return is_realizable(type22_class()).tau
 
 
-def _qqi_coefficient_lattice(tau):
-    """The vanishing lattice built from Gaussian-rational residual rows, each cleared by its lcm."""
-    from math import lcm
-
-    pairs, rows = riemann._residual_linear_map(tau)
-    integer_rows = []
-    for row in rows:
-        for comp in ([x.re for x in row], [x.im for x in row]):
-            denom = lcm(*(f.denominator for f in comp))
-            integer_rows.append([int(f * denom) for f in comp])
-    return la.kernel_basis(integer_rows)
-
-
 def _agreement_taus():
     rng = random.Random(5)
     taus = [random_exact_tau(rng, rng.choice([2, 3, 4])) for _ in range(140)]
@@ -465,7 +464,24 @@ class TestSearchCore:
     def test_integer_lattice_equals_gaussian_rational_lattice(self):
         for tau in _agreement_taus():
             _, kernel = riemann._coefficient_lattice(tau)
-            assert la.lattice_basis(kernel) == la.lattice_basis(_qqi_coefficient_lattice(tau))
+            assert la.lattice_basis(kernel) == la.lattice_basis(reference_coefficient_lattice(tau)[1])
+
+    def test_coefficient_lattice_evaluates_no_residual(self, monkeypatch):
+        taus = [sample_shape_tau(), type22_class_tau()] + _exact_scan_taus()[::5]
+        expected = [la.lattice_basis(reference_coefficient_lattice(tau)[1]) for tau in taus]
+
+        def no_residual(*args):
+            pytest.fail("the vanishing lattice evaluated a residual per basis 2-form")
+
+        monkeypatch.setattr(riemann, "_int_residual", no_residual)
+        monkeypatch.setattr(riemann, "residual_matrix", no_residual)
+        for tau, basis in zip(taus, expected):
+            assert la.lattice_basis(riemann._coefficient_lattice(tau)[1]) == basis
+
+    def test_float_rows_equal_reference_rows(self):
+        # the float-scan corpus (n = 2) and the float images of the n = 4..6 agreement taus
+        for tau in _float_scan_taus() + [t.to_float() for t in _agreement_taus()[-4:]]:
+            assert riemann._float_rows(tau) == reference_residual_rows(tau)[1], tau
 
     @pytest.mark.parametrize("u,d,bound", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2),
                                            (1, 2, 2), (2, 2, 2), (1, 1, 3), (2, 1, 3)])
