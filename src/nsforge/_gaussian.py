@@ -1,6 +1,7 @@
 """Gaussian rationals: complex numbers with Fraction components.
 
-The exact backend of the analytic module runs entirely over this field.
+The exact period matrices of the analytic module hold entries of this field;
+their decisions and solves clear denominators and run over the integers.
 """
 
 from fractions import Fraction
@@ -86,7 +87,3 @@ class QQi:
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"
 
-
-QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
-QQI_I = QQi(0, 1)

@@ -1,9 +1,9 @@
 """Linear algebra on small dense matrices, exact by default.
 
 Matrices are lists (or tuples) of rows.  The lattice routines (Hermite form,
-kernels, ranks, Bareiss determinants, characteristic polynomials) take
-Python ints; the ring-generic helpers (``mat_mul``, ``mat_add``,
-``mat_sub``, ``mat_scale``, ``mat_vec``) take entries of any ring that mixes
+kernels, ranks, Bareiss determinants and solves, characteristic
+polynomials) take Python ints; the ring-generic helpers (``mat_mul``,
+``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_vec``) take entries of any ring that mixes
 with ints -- int, Fraction, QQi, complex, IntPoly -- and ``solve_fraction``
 works over any exact field.
 Sizes stay at desk scale (<= 12 or so), so the simple cubic algorithms
@@ -106,6 +106,40 @@ def det_bareiss(a):
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def solve_bareiss(a, rhs_cols):
+    """Solve a X = B over Z; B given as columns.  Returns (det a, the columns of det(a) X).
+
+    Bareiss elimination of (a | B), then back substitution: det(a) X is
+    integral by Cramer's rule, so each division is exact.  A singular ``a``
+    raises ZeroDivisionError.
+    """
+    n = len(a)
+    m = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        row, p = m[k], m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], row)]
+        prev = p
+    det = sign * prev
+    out = []
+    for c in range(n, n + len(rhs_cols)):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            x[i], rem = divmod(det * row[c] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
+            assert not rem, "internal: a Bareiss back-substitution division is not exact"
+        out.append(x)
+    return det, out
 
 
 def charpoly(a, k):

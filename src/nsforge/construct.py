@@ -2,17 +2,17 @@
 
 Two polarized factors of complementary types are glued along the graph of an
 anti-symplectic identification of their torsion groups; the product form
-descends to a principal one on the glued lattice.  Everything runs over
-exact Gaussian-rational arithmetic, and the round trip through the class
-machinery is verified before returning.
+descends to a principal one on the glued lattice.  Everything is exact and
+solved over Z: the period matrix by fraction-free elimination on the real
+form of its complex system, and the round trip through the class machinery
+is verified before returning.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import _intlinalg as la
-from ._gaussian import QQI_ZERO, QQi
+from ._gaussian import QQi
 from .errors import (
     NotInSiegel,
     NotPrimitive,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exterior import check_class, is_primitive
 from .normend import _report, analyze, class_from_norm, norm_from_class
-from .riemann import EXACT, PeriodMatrix, wedge_vanishes
+from .riemann import EXACT, PeriodMatrix, _int_parts, _normalized_periods, wedge_vanishes
 from .symplectic import frobenius_basis, gram_matrix
 
 
@@ -93,32 +93,20 @@ def _well_defined(h, moduli):
     return True
 
 
-def _pairing(moduli, s, t):
-    """The torsion pairing as a rational number mod 1."""
-    u = len(moduli) // 2
-    total = Fraction(0)
-    for i in range(u):
-        total += Fraction(-s[i] * t[u + i] + s[u + i] * t[i], moduli[i])
-    return total - int(total)  # representative in (-1, 1)
-
-
 def check_kd_symplectic(h, divisors):
-    """True iff h is a well-defined pairing-preserving map of K(D)."""
+    """True iff h is a well-defined pairing-preserving map of K(D).
+
+    With L = lcm(D), L times the torsion pairing is the integer Gram G of the
+    type L / D, and h preserves the pairing iff h^T G h = G mod L.
+    """
     PolarizationType(tuple(divisors))
-    moduli = _torsion_moduli(divisors)
     h = [list(r) for r in h]
-    if not _well_defined(h, moduli):
+    if not _well_defined(h, _torsion_moduli(divisors)):
         return False
-    m = len(moduli)
-    for a in range(m):
-        for b in range(m):
-            ea = [1 if i == a else 0 for i in range(m)]
-            eb = [1 if i == b else 0 for i in range(m)]
-            lhs = _pairing(moduli, la.mat_vec(h, ea), la.mat_vec(h, eb))
-            rhs = _pairing(moduli, ea, eb)
-            if (lhs - rhs).denominator != 1:
-                return False
-    return True
+    scale = lcm(*divisors)
+    g = _type_gram([scale // d for d in divisors])
+    moved = la.mat_mul(la.mat_mul(la.transpose(h), g), h)
+    return all((x - y) % scale == 0 for rows in zip(moved, g) for x, y in zip(*rows))
 
 
 def _solve_torsion(g, moduli, target):
@@ -176,26 +164,17 @@ def _complex_period_block(factor):
 def _tau_from_basis(p_complex, c_num):
     """Read the period matrix off a symplectic basis in complex coordinates.
 
-    ``c_num`` holds rational multiples of the basis columns; the common scale
-    cancels in the normalization, so it never needs to be tracked.  With
-    Z = P C split into halves (E | F), the period matrix solves F tau = E.
+    ``c_num`` holds integer multiples of the basis columns; the common scale
+    cancels in the normalization, so it never needs to be tracked, and so
+    does the denominator q of P.  With q Z = q P C split into halves (E | F),
+    the period matrix solves F tau = E, over Z in its real form.
     """
     n = len(p_complex)
-    # P is sparse and C mostly zero: sum over the nonzero pairs only
-    p_cols = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*p_complex)]
-    z_cols = []
-    for col in zip(*c_num):
-        acc = [QQI_ZERO] * n
-        for p_col, val in zip(p_cols, col):
-            if val:
-                for i, x in p_col:
-                    acc[i] = acc[i] + x * val
-        z_cols.append(acc)
+    z = [la.mat_mul(part, c_num) for part in _int_parts(p_complex)[1:]]  # Re, Im of q Z
     try:
-        tau_cols = la.solve_fraction(la.transpose(z_cols[n:]), z_cols[:n])
+        tau = _normalized_periods(*z)
     except ZeroDivisionError:
         raise NotInSiegel("internal: degenerate half-basis") from None
-    tau = la.transpose(tau_cols)
     for i in range(n):
         for j in range(n):
             assert tau[i][j] == tau[j][i], "internal: glued period matrix not symmetric"
@@ -307,13 +286,12 @@ def glue(x_factor, y_factor, spec):
     rho0 = la.zeros(m2n, m2n)
     for i in range(2 * u):
         rho0[i][i] = d_exp
-    rho_cols = la.solve_fraction(la.frac_mat(c_num), la.transpose(la.mat_mul(rho0, c_num)))
+    det, rho_cols = la.solve_bareiss(c_num, la.transpose(la.mat_mul(rho0, c_num)))
     rho = la.zeros(m2n, m2n)
     for c in range(m2n):
         for r in range(m2n):
-            val = rho_cols[c][r]
-            assert val.denominator == 1, "internal: norm matrix is not integral"
-            rho[r][c] = int(val)
+            rho[r][c], rem = divmod(rho_cols[c][r], det)
+            assert not rem, "internal: norm matrix is not integral"
     eta = class_from_norm(rho)
 
     report = analyze(eta)
@@ -410,8 +388,7 @@ def is_realizable(eta):
         p_complex[u + i][2 * u + i] = QQi(0, 1)
         p_complex[u + i][2 * u + w + i] = QQi(ker_div[i])
 
-    # express the standard basis in factor coordinates, then map to C^n
-    coord_cols = la.solve_fraction(la.frac_mat(full), la.identity(2 * n))
-    tau = _tau_from_basis(p_complex, la.transpose(coord_cols))
+    # express the standard basis in factor coordinates: the adjugate of ``full``, up to scale
+    tau = _tau_from_basis(p_complex, la.transpose(la.solve_bareiss(full, la.identity(2 * n))[1]))
     assert wedge_vanishes(eta, tau), "internal: witness fails the vanishing test"
     return RealizabilityResult(tau, "ok")

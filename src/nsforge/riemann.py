@@ -8,16 +8,17 @@ residual R = P M P^T with P = (I | -tau), the restriction to the kernel of
 (tau | I), is zero.  As a map of the coefficients of eta, R has the 2 x 2
 minors of P as coefficients.  Exact decisions test q^2 R over the integers,
 as the congruence by the integer period block of q P; the float scan
-filters with the minors of P.  The wedge expansion
-(``wedge_coefficients``) is the test reference.  Both backends of
-``scan_ppav`` search with ``scan._walk``.
+filters with the minors of P.  The exact tangent, the Moebius action and
+the positive-definiteness test run on the integer parts of q tau too.  The
+wedge expansion (``wedge_coefficients``) is the test reference.  Both
+backends of ``scan_ppav`` search with ``scan._walk``.
 """
 
 import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 from . import _intlinalg as la
 from . import scan
@@ -59,13 +60,11 @@ class PeriodMatrix:
                 if self.rows[i][j] != self.rows[j][i]:
                     raise NotInSiegel("period matrix must be symmetric")
         if self.backend == EXACT:
-            imag = [[e.im for e in row] for row in self.rows]
-            if not _fraction_pd(imag):
-                raise NotInSiegel("imaginary part is not positive definite")
+            positive = _int_pd(_int_parts(self.rows)[2])
         else:
-            imag = [[e.imag for e in row] for row in self.rows]
-            if not _float_pd(imag):
-                raise NotInSiegel("imaginary part is not positive definite")
+            positive = _float_pd([[e.imag for e in row] for row in self.rows])
+        if not positive:
+            raise NotInSiegel("imaginary part is not positive definite")
 
     @classmethod
     def exact(cls, entries):
@@ -91,14 +90,15 @@ class PeriodMatrix:
         return PeriodMatrix.from_float([[e.to_complex() for e in row] for row in self.rows])
 
 
-def _fraction_pd(sym):
-    """Positive definiteness of a symmetric Fraction matrix via leading minors."""
-    n = len(sym)
-    for k in range(1, n + 1):
-        minor = [[sym[i][j] for j in range(k)] for i in range(k)]
-        if la.det_fraction(minor) <= 0:
-            return False
-    return True
+def _int_pd(sym):
+    """Positive definiteness of a symmetric integer matrix via leading minors."""
+    return all(la.det_bareiss([row[:k] for row in sym[:k]]) > 0 for k in range(1, len(sym) + 1))
+
+
+def _check_tol(tol):
+    """A float tolerance is finite and >= 0; ``--tol`` reaches the analytic calls unchecked."""
+    if not (tol >= 0 and isfinite(tol)):
+        raise RangeError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def _float_pd(sym):
@@ -235,6 +235,7 @@ def wedge_vanishes(eta, tau, tol=DEFAULT_TOL):
     Exact backend: every integer entry of q^2 R is zero (``residual_matrix``).
     Float backend: every expanded coefficient is within tol * (1 + max |tau_kl|)^2.
     """
+    _check_tol(tol)
     if tau.backend == EXACT:
         return _exact_vanishes(eta, tau)
     bound = tol * (1 + tau.max_abs()) ** 2
@@ -254,19 +255,39 @@ def _residual(eta, t):
             for rows in zip((r[:n] for r in top), term2, term3, term4)]
 
 
+def _int_parts(rows):
+    """q, the lcm of the denominators of a Gaussian-rational matrix Z, and Re, Im of q Z."""
+    q = lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
+    return (q, [[e.re.numerator * (q // e.re.denominator) for e in row] for row in rows],
+            [[e.im.numerator * (q // e.im.denominator) for e in row] for row in rows])
+
+
 def _period_block(tau):
     """q, the lcm of the denominators of an exact tau = (A + iB) / q, and Q = [[qI, -A], [0, -B]].
 
     The rows of Q are the real and imaginary parts of q (I | -tau).
     """
     n = tau.n
-    q = lcm(*(x.denominator for row in tau.rows for e in row for x in (e.re, e.im)))
-    top = [[q if i == k else 0 for i in range(n)]
-           + [-e.re.numerator * (q // e.re.denominator) for e in row]
-           for k, row in enumerate(tau.rows)]
-    bottom = [[0] * n + [-e.im.numerator * (q // e.im.denominator) for e in row]
-              for row in tau.rows]
-    return q, top + bottom
+    q, re, im = _int_parts(tau.rows)
+    top = [[q if i == k else 0 for i in range(n)] + [-x for x in row] for k, row in enumerate(re)]
+    return q, top + [[0] * n + [-x for x in row] for row in im]
+
+
+def _real_form(re, im):
+    """The real matrix [[Re, -Im], [Im, Re]] of the complex matrix Re + i Im."""
+    return [r + [-x for x in i] for r, i in zip(re, im)] + [i + r for r, i in zip(re, im)]
+
+
+def _normalized_periods(z_re, z_im):
+    """The X with F X = E for an integer complex n x 2n matrix Z = (E | F), as rows of QQi.
+
+    One ``la.solve_bareiss`` of the real form of F: each entry is a Cramer
+    numerator over det.  A singular F raises ZeroDivisionError.
+    """
+    n = len(z_re)
+    f = _real_form([r[n:] for r in z_re], [r[n:] for r in z_im])
+    det, cols = la.solve_bareiss(f, list(zip(*(r[:n] for r in z_re + z_im))))
+    return [[QQi(Fraction(c[k], det), Fraction(c[n + k], det)) for c in cols] for k in range(n)]
 
 
 def _minors(p, r, s, pairs):
@@ -312,6 +333,7 @@ def residual_matrix(eta, tau):
 
 def residual_is_zero(eta, tau, tol=DEFAULT_TOL):
     """R = 0: exactly (every integer of q^2 R is 0) or within the float tolerance."""
+    _check_tol(tol)
     if tau.backend == EXACT:
         return _exact_vanishes(eta, tau)
     bound = tol * (1 + tau.max_abs()) ** 2
@@ -378,23 +400,33 @@ def tangent_and_lattice(eta, tau, tol=DEFAULT_TOL):
     report = analyze(eta)
     n, u = eta.n, report.u
     basis = report.image_lattice.basis  # 2u columns
-    pi_cols = []
-    for b in basis:
-        col = []
-        for k in range(n):
-            acc = _zero(tau.backend)
-            for i in range(n):
-                acc = acc + tau.rows[k][i] * b[i]
-            acc = acc + b[n + k]
-            col.append(acc)
-        pi_cols.append(col)
-    mat = [[pi_cols[c][r] for c in range(len(pi_cols))] for r in range(n)]
-    rank = _rank_generic(mat, tau.backend, tol)
+    if tau.backend == EXACT:
+        # q (tau | I) b = q (I | -tau) (b_bottom; -b_top): the period block on swapped columns
+        q, block = _period_block(tau)
+        swapped = la.transpose([list(b[n:]) + [-x for x in b[:n]] for b in basis])
+        re_im = la.mat_mul(block, swapped)
+        re, im = re_im[:n], re_im[n:]
+        mat = [[QQi(Fraction(x, q), Fraction(y, q)) for x, y in zip(*rows)]
+               for rows in zip(re, im)]
+        rank = la.rank_int(_real_form(re, im)) // 2
+    else:
+        pi_cols = []
+        for b in basis:
+            col = []
+            for k in range(n):
+                acc = 0j
+                for i in range(n):
+                    acc = acc + tau.rows[k][i] * b[i]
+                acc = acc + b[n + k]
+                col.append(acc)
+            pi_cols.append(col)
+        mat = [[pi_cols[c][r] for c in range(len(pi_cols))] for r in range(n)]
+        rank = _float_rank(mat, tol)
     assert rank == u, f"internal: tangent rank {rank} != u = {u}"
     return {"tangent": mat, "lattice": mat}
 
 
-def _rank_generic(mat, backend, tol=DEFAULT_TOL):
+def _float_rank(mat, tol):
     rows = [list(r) for r in mat]
     if not rows:
         return 0
@@ -402,17 +434,14 @@ def _rank_generic(mat, backend, tol=DEFAULT_TOL):
     rank = 0
     r = 0
     for c in range(ncols):
-        if backend == EXACT:
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        else:
-            cand = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]), default=None)
-            piv = cand if cand is not None and abs(rows[cand][c]) > tol else None
+        cand = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]), default=None)
+        piv = cand if cand is not None and abs(rows[cand][c]) > tol else None
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][c]
         for i in range(r + 1, len(rows)):
-            if _nonzero(rows[i][c], backend):
+            if rows[i][c] != 0:
                 f = rows[i][c] / inv
                 for j in range(c, ncols):
                     rows[i][j] = rows[i][j] - f * rows[r][j]
@@ -457,6 +486,7 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
+    _check_tol(tol)
     n = tau.n
     if not 1 <= u <= n:
         raise RangeError("need 1 <= u <= n")
@@ -513,13 +543,10 @@ def moebius(s, tau):
         raise RangeError("the fractional action is implemented for the exact backend")
     mat = s.mat if hasattr(s, "mat") else s
     n = tau.n
-    alpha = [row[:n] for row in mat[:n]]
-    beta = [row[n:] for row in mat[:n]]
-    gamma = [row[:n] for row in mat[n:]]
-    delta = [row[n:] for row in mat[n:]]
-    num = la.mat_add(la.mat_mul(alpha, tau.rows), beta)
-    den = la.mat_add(la.mat_mul(gamma, tau.rows), delta)
+    # with tau = (A + iB) / q, q (num; den) = S (A; qI) + i S (B; 0), and
     # num den^{-1} is the transpose of X solving den^T X = num^T
-    res = la.transpose(la.solve_fraction(la.transpose(den), num))
-    return PeriodMatrix.exact(res)
+    q, re, im = _int_parts(tau.rows)
+    parts = (re + la.mat_scale(q, la.identity(n)), im + la.zeros(n, n))
+    z = [la.transpose(la.mat_mul(mat, part)) for part in parts]  # Re, Im of (num^T | den^T)
+    return PeriodMatrix.exact(la.transpose(_normalized_periods(*z)))
 

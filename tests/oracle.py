@@ -5,9 +5,11 @@ products are expanded term by term with explicit permutation signs.  Slow
 and simple on purpose: this is the reference the fast paths are measured
 against.  The reference invariants below are the symbolic
 Pfaffian pencil, the point-by-point characteristic polynomial and the
-saturated image; the reference searches at the end are the plain walker,
+saturated image; the reference searches are the plain walker,
 the full-box float scan and the trace-coset exact scan that the search
-paths are checked against.
+paths are checked against; the reference solves at the end are the Gaussian-rational
+and Fraction versions of the period-matrix solves, the tangent rank, the
+torsion pairing and the positive-definiteness test.
 """
 
 
@@ -355,3 +357,90 @@ def reference_exact_scan(tau, u, d, bound):
         if la.mat_mul(la.mat_mul(m, j), m) == la.mat_scale(d, m):
             reports.append(_report(eta, norm_from_class(eta, u, d)))
     return reports
+
+
+# ------------------------------------------------------------------------
+# Reference exact solves: Gauss-Jordan over Q(i) and Fraction arithmetic, which
+# the fraction-free integer paths of ``construct`` and ``riemann`` replaced.
+
+
+def reference_tau_from_basis(p_complex, c_num):
+    """The period matrix solving F tau = E for (E | F) = P C, over Q(i)."""
+    from nsforge import _intlinalg as la
+    from nsforge.errors import NotInSiegel
+    from nsforge.riemann import PeriodMatrix
+
+    n = len(p_complex)
+    z_cols = la.transpose(la.mat_mul(p_complex, c_num))
+    try:
+        tau_cols = la.solve_fraction(la.transpose(z_cols[n:]), z_cols[:n])
+    except ZeroDivisionError:
+        raise NotInSiegel("internal: degenerate half-basis") from None
+    return PeriodMatrix.exact(la.transpose(tau_cols))
+
+
+def reference_moebius(s, tau):
+    """(alpha tau + beta)(gamma tau + delta)^{-1} over Q(i)."""
+    from nsforge import _intlinalg as la
+    from nsforge.riemann import PeriodMatrix
+
+    mat = s.mat if hasattr(s, "mat") else s
+    n = tau.n
+    num = la.mat_add(la.mat_mul([row[:n] for row in mat[:n]], tau.rows),
+                     [row[n:] for row in mat[:n]])
+    den = la.mat_add(la.mat_mul([row[:n] for row in mat[n:]], tau.rows),
+                     [row[n:] for row in mat[n:]])
+    return PeriodMatrix.exact(la.transpose(la.solve_fraction(la.transpose(den), num)))
+
+
+def reference_tangent(eta, tau):
+    """(tau | I) on the image basis of an exact tau over Q(i), and its rank by elimination."""
+    from nsforge._gaussian import QQi
+    from nsforge.normend import analyze
+
+    n = eta.n
+    basis = analyze(eta).image_lattice.basis
+    mat = [[sum((tau.rows[k][i] * b[i] for i in range(n)), QQi(0)) + b[n + k] for b in basis]
+           for k in range(n)]
+    rows = [list(r) for r in mat]
+    rank = 0
+    for c in range(len(basis)):
+        piv = next((i for i in range(rank, n) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, n):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return mat, rank
+
+
+def reference_kd_symplectic(h, divisors):
+    """h is well defined on K(D) and preserves the torsion pairing, taken in Q / Z."""
+    from fractions import Fraction
+
+    u = len(divisors)
+    moduli = list(divisors) * 2
+    m = 2 * u
+    if any(h[i][j] * moduli[j] % moduli[i] for i in range(m) for j in range(m)):
+        return False
+
+    def pairing(s, t):
+        return sum((Fraction(-s[i] * t[u + i] + s[u + i] * t[i], divisors[i]) for i in range(u)),
+                   Fraction(0))
+
+    cols = [[h[i][a] for i in range(m)] for a in range(m)]
+    units = [[int(i == a) for i in range(m)] for a in range(m)]
+    return all((pairing(cols[a], cols[b]) - pairing(units[a], units[b])).denominator == 1
+               for a in range(m) for b in range(m))
+
+
+def reference_pd(sym):
+    """Positive definiteness of a symmetric rational matrix by its leading minors over Q."""
+    from fractions import Fraction
+
+    from nsforge import _intlinalg as la
+
+    return all(la.det_fraction([[Fraction(x) for x in row[:k]] for row in sym[:k]]) > 0
+               for k in range(1, len(sym) + 1))

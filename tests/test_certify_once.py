@@ -11,26 +11,35 @@ below keep those two public functions as the oracles of the shortcut.
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 from nsforge import (
     EnumerationSpec,
+    GluingSpec,
     PeriodMatrix,
+    PolarizedFactor,
     QQi,
     TwoForm,
+    act,
     analyze,
     check_class,
     check_class_mod_L,
     complementary_class,
     enumerate_classes,
     exterior,
+    glue,
     intersection_profile,
     is_primitive,
     is_realizable,
+    moebius,
     natural_class,
     norm_from_class,
     pfaffian,
     q_r,
+    random_symplectic,
     scan_ppav,
+    standard_witness,
+    tangent_and_lattice,
     theta,
 )
 from nsforge import _intlinalg as la
@@ -144,3 +153,20 @@ def test_pfaffian_and_search_walks_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_exact_period_matrices_make_no_field_solves(monkeypatch):
+    """Constructions, the exact tangent and the Moebius action solve over Z only."""
+    solves = _Counter(monkeypatch, "solve_fraction", la)
+    dets = _Counter(monkeypatch, "det_fraction", la)
+    x = PolarizedFactor(1, (2,), PeriodMatrix.exact([[QQi(Fraction(1, 2), 1)]]))
+    y = PolarizedFactor(1, (2,), PeriodMatrix.exact([[QQi(Fraction(-1, 3), 2)]]))
+    tau, eta = glue(x, y, GluingSpec(((1, 0), (1, 1)), ((1, 1), (0, 1))))
+    tangent_and_lattice(eta, tau)
+    tau, eta = standard_witness(4, 2, (2, 2))
+    tangent_and_lattice(eta, tau)
+    s = random_symplectic(4, 3, 6)
+    tangent_and_lattice(act(s, eta), moebius(s, tau))
+    realized = is_realizable(type22_class()).tau
+    tangent_and_lattice(type22_class(), realized)
+    assert (solves.calls, dets.calls) == (0, 0)

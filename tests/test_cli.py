@@ -212,6 +212,35 @@ class TestErrors:
         self._assert_json_error(proc, "NotInSiegel")
         assert "finite" in json.loads(proc.stderr)["error"]["message"]
 
+    @staticmethod
+    def _tol_args(tmp_path, command):
+        tau = {"n": 2, "backend": "float",
+               "entries": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]]]}
+        args = [command, "--tau", write_json(tmp_path, "t.json", tau)]
+        if command == "analytic":
+            eta = {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": -1}]}
+            return args + ["--in", write_json(tmp_path, "e.json", eta)]
+        return args + ["--u", "1", "--d", "1", "--bound", "1"]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    def test_tol_out_of_range(self, tmp_path, command, tol):
+        proc = run_cli(self._tol_args(tmp_path, command) + [f"--tol={tol}"])
+        self._assert_json_error(proc, "RangeError")
+        assert "tol" in json.loads(proc.stderr)["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    def test_zero_tol_is_valid(self, tmp_path, command):
+        # the class {(1, 3): -1} vanishes exactly on diag(i, 2i)
+        proc = run_cli(self._tol_args(tmp_path, command) + ["--tol", "0"])
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        if command == "analytic":
+            assert payload["vanishes"] is True
+        else:
+            found = [c["class"]["coeffs"] for c in payload["classes"]]
+            assert [{"i": 1, "j": 3, "a": -1}] in found
+
     @pytest.mark.parametrize("u", ["0", "3"])
     def test_scan_u_out_of_range(self, tmp_path, u):
         tau = {"n": 2, "backend": "exact",

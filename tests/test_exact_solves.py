@@ -1,0 +1,203 @@
+"""The fraction-free integer solves against their Gaussian-rational references.
+
+Every exact period matrix is built over Z: ``la.solve_bareiss`` on the real
+form of the complex system, with each entry one Cramer numerator over the
+determinant.  The references in ``oracle`` are the Q(i) and Fraction
+versions the integer paths replaced; each new path must agree with its
+reference exactly, on the grid of constructions the benchmark runs, on
+symplectic conjugates and on random inputs.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nsforge import (
+    GluingSpec,
+    PeriodMatrix,
+    PolarizedFactor,
+    QQi,
+    act,
+    check_kd_symplectic,
+    complementary_type,
+    construct,
+    glue,
+    is_realizable,
+    moebius,
+    norm_from_class,
+    random_symplectic,
+    standard_witness,
+    tangent_and_lattice,
+)
+from nsforge import _intlinalg as la
+from nsforge.errors import NotInSiegel
+from nsforge.riemann import _int_pd
+
+import oracle
+
+WITNESS_GRID = [(6, 3, (2, 2, 2)), (2, 1, (1,)), (6, 1, (1,)), (3, 1, (2,)), (6, 2, (1, 1)),
+                (4, 2, (2, 2)), (5, 2, (1, 2)), (2, 1, (2,)), (2, 1, (3,)), (3, 1, (3,)),
+                (3, 1, (4,))]
+GLUE_CONFIGS = [(2, 1, (2,)), (3, 1, (2,)), (4, 2, (1, 2)), (2, 1, (3,)), (2, 1, (4,)),
+                (4, 2, (2, 2))]
+MARKINGS = {
+    1: [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((1, 0), (1, 1)), ((2, 0), (0, 2))],
+    2: [((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+        ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))],
+}
+
+
+def seeded_periods(rng, k):
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = QQi(Fraction(rng.randint(-2, 2), rng.choice((2, 3, 4))), rng.randint(1, 3))
+        for j in range(i + 1, k):
+            rows[i][j] = rows[j][i] = QQi(Fraction(rng.randint(-1, 1), rng.choice((2, 3, 5))))
+    return PeriodMatrix.exact(rows)
+
+
+@pytest.fixture
+def checked_tau_from_basis(monkeypatch):
+    """Run the reference beside every ``_tau_from_basis``; keep the last basis that succeeded."""
+    original = construct._tau_from_basis
+    seen = []
+
+    def checked(p_complex, c_num):
+        try:
+            expected = oracle.reference_tau_from_basis(p_complex, c_num)
+        except NotInSiegel:
+            with pytest.raises(NotInSiegel):
+                original(p_complex, c_num)
+            raise
+        got = original(p_complex, c_num)
+        assert got == expected
+        seen.append(c_num)
+        return got
+
+    monkeypatch.setattr(construct, "_tau_from_basis", checked)
+    return seen
+
+
+def check_norm_matrix(eta, u, d, c_num):
+    """The glued class has the norm matrix C^-1 diag(d I_2u, 0) C, solved over Q."""
+    m = len(c_num)
+    rho0 = [[d if i == j < 2 * u else 0 for j in range(m)] for i in range(m)]
+    cols = la.solve_fraction(la.frac_mat(c_num), la.transpose(la.mat_mul(rho0, c_num)))
+    assert [list(r) for r in norm_from_class(eta, u, d).mat] == la.transpose(cols)
+
+
+def check_tangent(eta, tau, u):
+    mat, rank = oracle.reference_tangent(eta, tau)
+    got = tangent_and_lattice(eta, tau)
+    assert got["tangent"] == got["lattice"] == mat
+    assert rank == u
+
+
+def glue_grid(rng):
+    for n, u, typ in GLUE_CONFIGS:
+        valid = [f for f in MARKINGS[u] if oracle.reference_kd_symplectic(f, typ)]
+        spec = GluingSpec(rng.choice(valid), rng.choice(valid))
+        x = PolarizedFactor(u, typ, seeded_periods(rng, u))
+        y = PolarizedFactor(n - u, complementary_type(n, u, typ), seeded_periods(rng, n - u))
+        yield u, typ, glue(x, y, spec)
+
+
+def test_solve_bareiss_matches_solve_fraction():
+    rng = random.Random(41)
+    singular = 0
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        a = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            a[rng.randrange(n)] = [x - 2 * y for x, y in zip(a[0], a[-1])]
+        rhs = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        try:
+            expected = la.solve_fraction(la.frac_mat(a), la.frac_mat(rhs))
+        except ZeroDivisionError:
+            singular += 1
+            assert la.det_bareiss(a) == 0
+            with pytest.raises(ZeroDivisionError):
+                la.solve_bareiss(a, rhs)
+            continue
+        det, cols = la.solve_bareiss(a, rhs)
+        assert det == la.det_bareiss(a) != 0
+        assert [[Fraction(x, det) for x in col] for col in cols] == expected
+    assert singular > 50
+
+
+def test_constructions_match_the_reference(checked_tau_from_basis):
+    rng = random.Random(7)
+    for n, u, typ in WITNESS_GRID:
+        tau, eta = standard_witness(n, u, typ)
+        check_norm_matrix(eta, u, typ[-1], checked_tau_from_basis[-1])
+        check_tangent(eta, tau, u)
+        moved = act(random_symplectic(n, rng.randrange(100), 3), eta)
+        check_tangent(moved, is_realizable(moved).tau, u)
+    for _ in range(3):
+        for u, typ, (tau, eta) in glue_grid(rng):
+            check_norm_matrix(eta, u, typ[-1], checked_tau_from_basis[-1])
+            check_tangent(eta, tau, u)
+    assert len(checked_tau_from_basis) == 2 * len(WITNESS_GRID) + 3 * len(GLUE_CONFIGS)
+
+
+def test_moebius_and_tangent_on_conjugates():
+    rng = random.Random(11)
+    points = [(u, standard_witness(n, u, typ)) for n, u, typ in WITNESS_GRID]
+    points += [(u, out) for u, _, out in glue_grid(rng)]
+    for u, (tau, eta) in points:
+        for _ in range(2):
+            s = random_symplectic(tau.n, rng.randrange(1000), rng.randint(1, 6))
+            moved = moebius(s, tau)
+            assert moved == oracle.reference_moebius(s, tau)
+            check_tangent(act(s, eta), moved, u)
+    tau = points[1][1][0]
+    for s in (la.zeros(4, 4), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]):
+        for action in (moebius, oracle.reference_moebius):
+            with pytest.raises(ZeroDivisionError):
+                action(s, tau)
+
+
+def test_positive_definiteness_matches_the_reference():
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(800):
+        n = rng.randint(1, 5)
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = QQi(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                              Fraction(rng.randint(-1, 3), rng.randint(1, 4)))
+        expected = oracle.reference_pd([[e.im for e in row] for row in rows])
+        try:
+            PeriodMatrix.exact(rows)
+            got = True
+        except NotInSiegel:
+            got = False
+        assert got == expected
+        sym = [[int(4 * e.im) for e in row] for row in rows]
+        assert _int_pd(sym) == oracle.reference_pd(sym)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_torsion_markings_match_the_reference():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(1500):
+        u = rng.randint(1, 3)
+        divisors, d = [], 1
+        for _ in range(u):
+            d *= rng.choice((1, 1, 2, 3))
+            divisors.append(d)
+        h = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0 for _ in range(2 * u)]
+             for _ in range(2 * u)]
+        expected = oracle.reference_kd_symplectic(h, divisors)
+        assert check_kd_symplectic(h, divisors) == expected
+        verdicts.add(expected)
+    for f in MARKINGS[1] + MARKINGS[2]:
+        for typ in ((2,), (3,), (4,), (1, 2), (2, 2), (2, 4)):
+            if len(f) == 2 * len(typ):
+                assert check_kd_symplectic(f, typ) == oracle.reference_kd_symplectic(f, typ)
+    assert verdicts == {True, False}

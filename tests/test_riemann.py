@@ -534,3 +534,24 @@ class TestSearchCore:
         tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
         with pytest.raises(BudgetExceeded, match="scan space 729 exceeds budget 100"):
             scan_ppav(tau, 1, 0, 1)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_negative_or_non_finite_tol_is_a_range_error(self, backend, tol):
+        tau = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+        if backend == "float":
+            tau = tau.to_float()
+        eta = TwoForm.from_coeffs(2, {(0, 2): -1})
+        for call in (wedge_vanishes, residual_is_zero, tangent_and_lattice):
+            with pytest.raises(RangeError, match="tol"):
+                call(eta, tau, tol=tol)
+        with pytest.raises(RangeError, match="tol"):
+            scan_ppav(tau, 1, 1, 1, tol=tol)
+
+    def test_zero_tol_keeps_exact_zeros(self):
+        tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
+        eta = TwoForm.from_coeffs(2, {(0, 2): -1})
+        assert wedge_vanishes(eta, tau, tol=0) and residual_is_zero(eta, tau, tol=0)
+        assert eta in [r.eta for r in scan_ppav(tau, 1, 1, 1, tol=0)]
