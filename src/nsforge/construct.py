@@ -22,8 +22,8 @@ from .errors import (
     SizeMismatch,
     TypeMismatch,
 )
-from .exterior import check_class, is_primitive
-from .normend import _report, analyze, class_from_norm, norm_from_class
+from .exterior import check_class, is_primitive, theta
+from .normend import _image_type, class_from_norm, norm_from_class
 from .riemann import EXACT, PeriodMatrix, _int_parts, _normalized_periods, wedge_vanishes
 from .symplectic import frobenius_basis, gram_matrix
 
@@ -135,29 +135,34 @@ def _type_gram(divisors):
     return g
 
 
-def _minus_j_basis(gram):
-    """Integer basis columns W with W^T gram W = [[0, -I], [I, 0]].
+def _frame_columns(cols, frame):
+    """The columns B U of a Frobenius frame of the columns B, in (f | e) order.
 
-    Requires the form to be principal; raises NotPrincipal otherwise.
+    U^T G U = [[0, D], [-D, 0]] for the Gram G of B, so the swapped columns
+    pair as [[0, -D], [D, 0]], the type form on a factor basis.
     """
-    frob = frobenius_basis(gram)
-    if any(d != 1 for d in frob.divisors):
-        raise NotPrincipal(f"descended form has type {frob.divisors}")
-    size = len(gram)
-    k = size // 2
-    cols = la.transpose([list(r) for r in frob.u_matrix])
-    reordered = cols[k:] + cols[:k]
-    return la.transpose(reordered)
+    moved = la.mat_mul(la.transpose(cols), [list(r) for r in frame.u_matrix])
+    return _swap_halves(la.transpose(moved))
 
 
-def _complex_period_block(factor):
-    """The dim x 2dim complex matrix (tau | diag(D))."""
-    u = factor.dim
-    out = [[QQi(0)] * (2 * u) for _ in range(u)]
-    for i in range(u):
-        for j in range(u):
-            out[i][j] = factor.tau.rows[i][j]
-        out[i][u + i] = QQi(factor.divisors[i])
+def _square_periods(k):
+    """The k x k period matrix i I."""
+    return PeriodMatrix.exact([[QQi(0, 1) if i == j else QQi(0) for j in range(k)]
+                               for i in range(k)])
+
+
+def _complex_period_block(factors):
+    """The block-diagonal n x 2n complex matrix of the factors' blocks (tau | diag(D))."""
+    n = sum(f.dim for f in factors)
+    out = [[QQi(0)] * (2 * n) for _ in range(n)]
+    row = 0
+    for f in factors:
+        k = f.dim
+        for i in range(k):
+            for j in range(k):
+                out[row + i][2 * row + j] = f.tau.rows[i][j]
+            out[row + i][2 * row + k + i] = QQi(f.divisors[i])
+        row += k
     return out
 
 
@@ -259,27 +264,19 @@ def glue(x_factor, y_factor, spec):
     det_b = abs(la.det_bareiss(b_int))
     assert det_b * prod * prod == scale ** m2n, "internal: glued index mismatch"
 
-    w_basis = _minus_j_basis(gram_a)
-    c_num = la.mat_mul(b_int, w_basis)
+    frame = frobenius_basis(gram_a)
+    if any(d != 1 for d in frame.divisors):
+        raise NotPrincipal(f"descended form has type {frame.divisors}")
+    w_cols = _frame_columns(la.identity(m2n), frame)  # W^T gram_a W = [[0, -I], [I, 0]]
+    c_num = la.mat_mul(b_int, la.transpose(w_cols))
 
-    p_complex = [[QQi(0)] * m2n for _ in range(n)]
-    px = _complex_period_block(x_factor)
-    py = _complex_period_block(y_factor)
-    for i in range(u):
-        for j in range(2 * u):
-            p_complex[i][j] = px[i][j]
-    for i in range(v):
-        for j in range(2 * v):
-            p_complex[u + i][2 * u + j] = py[i][j]
-
+    p_complex = _complex_period_block([x_factor, y_factor])
     try:
         tau = _tau_from_basis(p_complex, c_num)
     except NotInSiegel:
         # orientation fallback: (e, -f) is also a valid basis for the pairing
-        k = n
-        cols_w = la.transpose(w_basis)
-        flipped = la.transpose(cols_w[k:] + [[-x for x in col] for col in cols_w[:k]])
-        c_num = la.mat_mul(b_int, flipped)
+        flipped = w_cols[n:] + [[-x for x in col] for col in w_cols[:n]]
+        c_num = la.mat_mul(b_int, la.transpose(flipped))
         tau = _tau_from_basis(p_complex, c_num)
 
     d_exp = d_list[-1]
@@ -294,8 +291,8 @@ def glue(x_factor, y_factor, spec):
             assert not rem, "internal: norm matrix is not integral"
     eta = class_from_norm(rho)
 
-    report = analyze(eta)
-    got = (report.u, report.d, report.type_divisors)
+    norm = norm_from_class(eta)
+    got = (norm.u, norm.d, _image_type(norm)[1].divisors)
     assert got == (u, d_exp, tuple(d_list)), f"internal: glued class certifies as {got}"
     assert wedge_vanishes(eta, tau), "internal: glued class fails the vanishing test"
     return tau, eta
@@ -308,12 +305,8 @@ def standard_witness(n, u, divisors):
         raise RangeError("need 1 <= u <= n - u; take the complement otherwise")
     if len(divisors) != u:
         raise TypeMismatch("type length must equal u")
-    tau_x = PeriodMatrix.exact([[QQi(0, 1) if i == j else QQi(0) for j in range(u)]
-                                for i in range(u)])
-    tau_y = PeriodMatrix.exact([[QQi(0, 1) if i == j else QQi(0) for j in range(n - u)]
-                                for i in range(n - u)])
-    x_factor = PolarizedFactor(u, divisors, tau_x)
-    y_factor = PolarizedFactor(n - u, complementary_type(n, u, divisors), tau_y)
+    x_factor = PolarizedFactor(u, divisors, _square_periods(u))
+    y_factor = PolarizedFactor(n - u, complementary_type(n, u, divisors), _square_periods(n - u))
     return glue(x_factor, y_factor, identity_spec(u))
 
 
@@ -346,48 +339,19 @@ def is_realizable(eta):
     except NsforgeError:
         return RealizabilityResult(None, "IdempotenceFail")
     try:
-        report = _report(eta, norm)
-    except NsforgeError:
-        return RealizabilityResult(None, "TypeFail")
-
-    minus_j = la.mat_scale(-1, la.standard_j(n))
-    try:
-        img_cols = [list(b) for b in report.image_lattice.basis]
-        gram_img = gram_matrix(minus_j, img_cols)
-        frob_img = frobenius_basis(gram_img)
+        image, frame = _image_type(norm)
+        frames = [(image.basis, frame)]
         if u < n:
-            ker_cols = [list(b) for b in report.kernel_lattice.basis]
-            gram_ker = gram_matrix(minus_j, ker_cols)
-            frob_ker = frobenius_basis(gram_ker)
-        else:
-            frob_ker = None
+            kernel = la.kernel_basis([list(r) for r in norm.mat])
+            frames.append((kernel, frobenius_basis(gram_matrix(theta(n).mat, kernel))))
     except NsforgeError:
         return RealizabilityResult(None, "TypeFail")
 
-    def factor_columns(basis_cols, frob):
-        """Basis (f-half | e-half) so the pairing is -diag(divisors)."""
-        mat = la.transpose(basis_cols)  # 2n x 2k
-        transformed = la.mat_mul(mat, [list(r) for r in frob.u_matrix])
-        cols = la.transpose(transformed)
-        k = len(frob.divisors)
-        return cols[k:] + cols[:k], frob.divisors
-
-    img_basis, img_div = factor_columns(img_cols, frob_img)
-    if frob_ker is not None:
-        ker_basis, ker_div = factor_columns(ker_cols, frob_ker)
-    else:
-        ker_basis, ker_div = [], ()
-    full = la.transpose(img_basis + ker_basis)  # 2n x 2n over the rationals
-
-    p_complex = [[QQi(0)] * (2 * n) for _ in range(n)]
-    for i in range(u):
-        p_complex[i][i] = QQi(0, 1)
-        p_complex[i][u + i] = QQi(img_div[i])
-    w = n - u
-    for i in range(w):
-        p_complex[u + i][2 * u + i] = QQi(0, 1)
-        p_complex[u + i][2 * u + w + i] = QQi(ker_div[i])
-
+    # image and kernel as the factors (i I | diag(D)) of type D under -J, in their (f | e) frames
+    full = la.transpose([col for cols, f in frames for col in _frame_columns(cols, f)])
+    p_complex = _complex_period_block(
+        [PolarizedFactor(len(f.divisors), f.divisors, _square_periods(len(f.divisors)))
+         for _, f in frames])
     # express the standard basis in factor coordinates: the adjugate of ``full``, up to scale
     tau = _tau_from_basis(p_complex, la.transpose(la.solve_bareiss(full, la.identity(2 * n))[1]))
     assert wedge_vanishes(eta, tau), "internal: witness fails the vanishing test"

@@ -10,6 +10,12 @@ once.  Since J theta = I, Pf(t M + theta)^2 = det(I + t N), so a verified
 N^2 = d N of rank 2u (d >= 1) already fixes the (u, d) profile, and
 d I - N certifies d theta - eta as the (n - u, d) complement.  Callers that
 know (u, d) skip ``check_class``; ``complementary_class`` is the oracle.
+
+The norm matrix and the Frobenius frame of theta on the image
+(``_image_type``) are the whole certificate.  ``glue``, ``is_realizable``,
+``tangent_and_lattice``, ``orbit_equivalent`` and typed ``enumerate_classes``
+read what they need from those two; only ``analyze`` and ``scan_ppav`` go on
+to ``_report``, which adds the kernel lattice and the complement.
 """
 
 from dataclasses import dataclass
@@ -125,23 +131,26 @@ def analyze(eta):
 
 
 def _image_type(norm):
-    """The saturated image lattice of a verified norm matrix and the type of theta on it.
+    """The saturated image lattice of a verified norm matrix and theta's Frobenius frame on it.
 
     N^2 = d N with d >= 1 makes the saturated image of N the lattice
     ker(N - d I) in Z^2n, whose canonical basis is one kernel computation.
+    The frame is ``frobenius_basis`` of the Gram of theta's matrix -J on
+    that basis; its divisors are the polarization type.
     """
     shifted = la.mat_sub(norm.mat, la.mat_scale(norm.d, la.identity(2 * norm.n)))
     image = IntegerLattice(2 * norm.n, tuple(tuple(v) for v in la.kernel_basis(shifted)))
-    divisors = frobenius_basis(gram_matrix(la.standard_j(norm.n), image.basis)).divisors
-    if divisors[-1] != norm.d:
-        raise TypeExponentMismatch(f"largest divisor {divisors[-1]} != exponent {norm.d}")
-    return image, divisors
+    frame = frobenius_basis(gram_matrix(theta(norm.n).mat, image.basis))
+    if frame.divisors[-1] != norm.d:
+        raise TypeExponentMismatch(f"largest divisor {frame.divisors[-1]} != exponent {norm.d}")
+    return image, frame
 
 
 def _report(eta, norm):
     """The certificate of a class whose norm matrix has already been verified."""
     n, u, d = norm.n, norm.u, norm.d
-    image, divisors = _image_type(norm)
+    image, frame = _image_type(norm)
+    divisors = frame.divisors
     if u < n:
         kernel = la.kernel_basis([list(r) for r in norm.mat])
         kernel_lat = IntegerLattice(2 * n, tuple(tuple(v) for v in kernel))

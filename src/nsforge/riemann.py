@@ -27,12 +27,14 @@ from ._poly import IntPoly
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
+    NotAlternating,
     NotAnalytic,
     NotInSiegel,
     RangeError,
 )
-from .normend import _report, analyze, norm_from_class
+from .normend import _image_type, _report, norm_from_class
 from .scan import _budget, _form, _map_first_entries, _pairs, _walk_block
+from .symplectic import is_symplectic
 
 EXACT = "exact"
 FLOAT = "float"
@@ -397,9 +399,9 @@ def tangent_and_lattice(eta, tau, tol=DEFAULT_TOL):
     """
     if not wedge_vanishes(eta, tau, tol=tol):
         raise NotAnalytic("class does not vanish for this period matrix")
-    report = analyze(eta)
-    n, u = eta.n, report.u
-    basis = report.image_lattice.basis  # 2u columns
+    norm = norm_from_class(eta)
+    n, u = eta.n, norm.u
+    basis = _image_type(norm)[0].basis  # 2u columns
     if tau.backend == EXACT:
         # q (tau | I) b = q (I | -tau) (b_bottom; -b_top): the period block on swapped columns
         q, block = _period_block(tau)
@@ -538,11 +540,19 @@ def _float_rows(tau):
 
 
 def moebius(s, tau):
-    """Action (alpha tau + beta)(gamma tau + delta)^{-1}; exact backend only."""
+    """Action (alpha tau + beta)(gamma tau + delta)^{-1}; exact backend only.
+
+    S must be a 2n x 2n symplectic matrix, which keeps gamma tau + delta
+    invertible on the Siegel space.
+    """
     if tau.backend != EXACT:
         raise RangeError("the fractional action is implemented for the exact backend")
     mat = s.mat if hasattr(s, "mat") else s
     n = tau.n
+    if len(mat) != 2 * n:
+        raise DimensionMismatch("matrix size does not match the period matrix")
+    if not is_symplectic(mat):
+        raise NotAlternating("matrix is not symplectic")
     # with tau = (A + iB) / q, q (num; den) = S (A; qI) + i S (B; 0), and
     # num den^{-1} is the transpose of X solving den^T X = num^T
     q, re, im = _int_parts(tau.rows)

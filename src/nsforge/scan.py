@@ -36,7 +36,7 @@ from operator import mul
 from . import _intlinalg as la
 from .errors import BudgetExceeded, RangeError
 from .exterior import TwoForm, check_class
-from .normend import _image_type, analyze, norm_from_class
+from .normend import _image_type, norm_from_class
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,9 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
-    (u, d).  ``use_prefilters`` switches the trace and rank prunes; the row
-    identity always prunes in idempotent mode.  ``lattice``, an echelon basis
+    (u, d).  ``use_prefilters`` switches the trace and rank prunes (the rank
+    prune runs in profile-only mode only when n - u <= 1); the row identity
+    always prunes in idempotent mode.  ``lattice``, an echelon basis
     in slot order (``_lattice_steps``), restricts the walk to its points;
     such a walk counts its nodes and raises ``BudgetExceeded`` past
     ``_LATTICE_NODE_BUDGET``.
@@ -133,10 +134,14 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
     anti_after = [sum(anti[k + 1:]) for k in range(len(pairs))]
     # rows 0..i are complete at the last slot of row i; test their rank only
     # when there are more than 2u of them (the final slot's test is left to
-    # the leaf, where the row identity usually makes it unnecessary)
-    rank_rows = [i + 1 if use_prefilters and j == m - 1 and i + 1 > 2 * u and idx < last else 0
+    # the leaf, where the row identity usually makes it unnecessary).  A
+    # profile bounds rank(M) by 2u only when n - u <= 1: N = J M is
+    # skew-Hamiltonian, so its Jordan blocks come in pairs, and a 0-eigenvalue
+    # of multiplicity 2n - 2u >= 4 can carry two blocks of size 2
+    prune_rank = use_prefilters and (idempotent or n - u <= 1)
+    rank_rows = [i + 1 if prune_rank and j == m - 1 and i + 1 > 2 * u and idx < last else 0
                  for idx, (i, j) in enumerate(pairs)]
-    final_rank = use_prefilters and m - 1 > 2 * u
+    final_rank = prune_rank and m - 1 > 2 * u
     steps = [None] * len(pairs) if lattice is None else _lattice_steps(len(pairs), lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
     mat = la.zeros(m, m)
@@ -273,8 +278,9 @@ def enumerate_classes(spec, first_entry_values=None):
     vectors = _walk(n, u, d, bound, idempotent, None, first_entry_values, spec.use_prefilters)
     classes = [_form(n, vec) for vec in sorted(vectors)]
     if spec.require_type is not None:
+        typ = tuple(spec.require_type)
         classes = [eta for eta in classes
-                   if _image_type(norm_from_class(eta, u, d))[1] == tuple(spec.require_type)]
+                   if _image_type(norm_from_class(eta, u, d))[1].divisors == typ]
     return classes
 
 
@@ -284,6 +290,8 @@ def orbit_equivalent(eta, omega):
     Two certified classes are equivalent iff their (u, d, type) data agree;
     the type is a complete orbit invariant.
     """
-    ra = analyze(eta)
-    rb = analyze(omega)
-    return (ra.u, ra.d, ra.type_divisors) == (rb.u, rb.d, rb.type_divisors)
+    def data(form):
+        norm = norm_from_class(form)
+        return norm.u, norm.d, _image_type(norm)[1].divisors
+
+    return data(eta) == data(omega)

@@ -9,7 +9,8 @@ saturated image; the reference searches are the plain walker,
 the full-box float scan and the trace-coset exact scan that the search
 paths are checked against; the reference solves at the end are the Gaussian-rational
 and Fraction versions of the period-matrix solves, the tangent rank, the
-torsion pairing and the positive-definiteness test.
+torsion pairing and the positive-definiteness test, and the witness of
+``is_realizable`` derived from the full report.
 """
 
 
@@ -125,7 +126,11 @@ def reference_image_basis(norm):
 
 
 def reference_enumerate(spec, first_entry_values=None):
-    """``enumerate_classes`` by trace and per-row rank prunes, then per-leaf certification."""
+    """``enumerate_classes`` by trace and per-row rank prunes, then per-leaf certification.
+
+    The rank prune runs where a passing leaf has rank 2u: in the idempotent
+    and typed modes, and in profile-only mode when n - u <= 1.
+    """
     from nsforge import _intlinalg as la
     from nsforge.errors import NsforgeError
     from nsforge.exterior import TwoForm, check_class, is_primitive
@@ -142,6 +147,8 @@ def reference_enumerate(spec, first_entry_values=None):
         row_end[i] = idx
     results = []
     vec = [0] * len(pairs)
+    prune_rank = spec.use_prefilters and (
+        spec.require_idempotent or spec.require_type is not None or n - u <= 1)
 
     def rank_prune(upto_row):
         mat = la.zeros(m, m)
@@ -177,7 +184,7 @@ def reference_enumerate(spec, first_entry_values=None):
                         or new_sum + bound * new_left < target_trace):
                     vec[idx] = 0
                     continue
-            if spec.use_prefilters:
+            if prune_rank:
                 row_done = [r for r, e in row_end.items() if e == idx]
                 if row_done and not rank_prune(max(row_done)):
                     vec[idx] = 0
@@ -444,3 +451,42 @@ def reference_pd(sym):
 
     return all(la.det_fraction([[Fraction(x) for x in row[:k]] for row in sym[:k]]) > 0
                for k in range(1, len(sym) + 1))
+
+
+def reference_witness(eta):
+    """The witness of ``is_realizable`` from the full report, solved over Q(i).
+
+    ``_report`` gives the image and kernel lattices; each is put in the
+    Frobenius basis of its Gram under -J, columns in (f | e) order, and is
+    the factor (i I | diag(D)) of its type.  The period matrix of the
+    standard basis in those factor coordinates comes from the inverse of the
+    frame by Fraction elimination.
+    """
+    from nsforge import _intlinalg as la
+    from nsforge._gaussian import QQi
+    from nsforge.normend import _report, norm_from_class
+    from nsforge.symplectic import frobenius_basis, gram_matrix
+
+    n = eta.n
+    report = _report(eta, norm_from_class(eta))
+    minus_j = la.mat_scale(-1, la.standard_j(n))
+    cols, blocks = [], []
+    for lattice in (report.image_lattice, report.kernel_lattice):
+        basis = [list(b) for b in lattice.basis]
+        if not basis:
+            continue
+        frob = frobenius_basis(gram_matrix(minus_j, basis))
+        moved = la.transpose(la.mat_mul(la.transpose(basis), [list(r) for r in frob.u_matrix]))
+        k = len(frob.divisors)
+        cols += moved[k:] + moved[:k]
+        blocks.append(frob.divisors)
+    p_complex = [[QQi(0)] * (2 * n) for _ in range(n)]
+    row = 0
+    for divisors in blocks:
+        k = len(divisors)
+        for i, dv in enumerate(divisors):
+            p_complex[row + i][2 * row + i] = QQi(0, 1)
+            p_complex[row + i][2 * row + k + i] = QQi(dv)
+        row += k
+    inverse = la.solve_fraction(la.frac_mat(la.transpose(cols)), la.frac_mat(la.identity(2 * n)))
+    return reference_tau_from_basis(p_complex, la.transpose(inverse))

@@ -6,11 +6,18 @@ the (u, d) one, and d I - N certifies the complement.  ``analyze``,
 ``scan_ppav``, ``enumerate_classes`` and ``is_realizable`` rely on that
 instead of re-running ``check_class`` and ``complementary_class``; the tests
 below keep those two public functions as the oracles of the shortcut.
+
+The norm matrix and the Frobenius frame of theta on its image
+(``normend._image_type``) are the whole certificate.  ``glue``,
+``standard_witness``, ``is_realizable``, ``tangent_and_lattice`` and
+``orbit_equivalent`` read it from those two and never build the full report
+(``analyze``/``_report``), and ``is_realizable`` derives each frame once.
 """
 
 import gc
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from nsforge import (
@@ -34,11 +41,14 @@ from nsforge import (
     moebius,
     natural_class,
     norm_from_class,
+    normend,
+    orbit_equivalent,
     pfaffian,
     q_r,
     random_symplectic,
     scan_ppav,
     standard_witness,
+    symplectic,
     tangent_and_lattice,
     theta,
 )
@@ -170,3 +180,42 @@ def test_exact_period_matrices_make_no_field_solves(monkeypatch):
     realized = is_realizable(type22_class()).tau
     tangent_and_lattice(type22_class(), realized)
     assert (solves.calls, dets.calls) == (0, 0)
+
+
+def _patch_every_binding(monkeypatch, original, replacement):
+    """Replace ``original`` wherever a package module holds it by name."""
+    for name, module in list(sys.modules.items()):
+        if name == "nsforge" or name.startswith("nsforge."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_constructions_build_no_full_report(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full report was built")
+
+    for original in (normend.analyze, normend._report):
+        _patch_every_binding(monkeypatch, original, refuse)
+    x = PolarizedFactor(1, (2,), PeriodMatrix.exact([[QQi(Fraction(1, 2), 1)]]))
+    y = PolarizedFactor(1, (2,), PeriodMatrix.exact([[QQi(Fraction(-1, 3), 2)]]))
+    tau, eta = glue(x, y, GluingSpec(((1, 0), (1, 1)), ((1, 1), (0, 1))))
+    assert len(tangent_and_lattice(eta, tau)["tangent"][0]) == 2
+    tau, eta = standard_witness(4, 2, (2, 2))
+    realized = is_realizable(type22_class())
+    assert realized.tag == "ok"
+    assert len(tangent_and_lattice(type22_class(), realized.tau)["lattice"][0]) == 4
+    assert orbit_equivalent(eta, type22_class())
+    assert not orbit_equivalent(eta, standard_witness(4, 2, (1, 2))[1])
+
+
+def test_is_realizable_derives_each_frame_once(monkeypatch):
+    """One Frobenius frame for the image and one for the kernel, none for u = n."""
+    calls = []
+    original = symplectic.frobenius_basis
+    _patch_every_binding(monkeypatch, original, lambda gram: calls.append(gram) or original(gram))
+    for eta, frames in ((type22_class(), 2), (standard_witness(3, 1, (2,))[1], 2),
+                        (theta(2), 1), (theta(3), 1)):
+        calls.clear()
+        assert is_realizable(eta).tag == "ok"
+        assert len(calls) == frames, eta

@@ -5,11 +5,14 @@ form of the complex system, with each entry one Cramer numerator over the
 determinant.  The references in ``oracle`` are the Q(i) and Fraction
 versions the integer paths replaced; each new path must agree with its
 reference exactly, on the grid of constructions the benchmark runs, on
-symplectic conjugates and on random inputs.
+symplectic conjugates and on random inputs.  The witness of ``is_realizable``
+is checked against the frame the full report gives (``oracle.reference_witness``).
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +34,8 @@ from nsforge import (
     tangent_and_lattice,
 )
 from nsforge import _intlinalg as la
-from nsforge.errors import NotInSiegel
+from nsforge import jsonio
+from nsforge.errors import NotAlternating, NotInSiegel
 from nsforge.riemann import _int_pd
 
 import oracle
@@ -154,9 +158,23 @@ def test_moebius_and_tangent_on_conjugates():
             check_tangent(act(s, eta), moved, u)
     tau = points[1][1][0]
     for s in (la.zeros(4, 4), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]):
-        for action in (moebius, oracle.reference_moebius):
-            with pytest.raises(ZeroDivisionError):
-                action(s, tau)
+        with pytest.raises(ZeroDivisionError):
+            oracle.reference_moebius(s, tau)
+        with pytest.raises(NotAlternating):  # refused before the solve: S is not symplectic
+            moebius(s, tau)
+
+
+def test_witness_matches_the_reference_frame():
+    """The witness from the norm matrix and the theta-frames equals the one from the full report."""
+    classes = [standard_witness(n, u, typ)[1] for n, u, typ in WITNESS_GRID]
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "base_classes.json"
+    for entry in json.loads(path.read_text())["classes"]:
+        eta = jsonio.two_form_from_json(entry["class"])
+        if eta.n in (2, 4):
+            classes += [act(random_symplectic(eta.n, seed, 5), eta) for seed in (1, 2, 3)]
+    assert len(classes) == len(WITNESS_GRID) + 3 * 7
+    for eta in classes:
+        assert is_realizable(eta).tau == oracle.reference_witness(eta), eta
 
 
 def test_positive_definiteness_matches_the_reference():

@@ -23,7 +23,14 @@ from nsforge import (
 )
 from nsforge import _intlinalg as la
 from nsforge import scan
-from nsforge.errors import BudgetExceeded, DimensionMismatch, NotAnalytic, NotInSiegel, RangeError
+from nsforge.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    NotAlternating,
+    NotAnalytic,
+    NotInSiegel,
+    RangeError,
+)
 from nsforge.riemann import (
     _residual,
     residual_is_zero,
@@ -346,6 +353,18 @@ class TestMoebiusInvariance:
         for seed in range(6):
             s = random_symplectic(2, seed, 10)
             assert wedge_vanishes(act(s, eta), moebius(s, tau))
+
+    @pytest.mark.parametrize("s, error", [
+        ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], NotAlternating),
+        ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], NotAlternating),
+        (la.identity(6), DimensionMismatch),
+        ([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], DimensionMismatch),
+    ])
+    def test_non_symplectic_matrix_is_an_error(self, s, error):
+        tau = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+        with pytest.raises(error) as info:
+            moebius(s, tau)
+        assert info.value.code == error.code
 
 
 class TestScan:

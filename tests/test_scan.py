@@ -14,6 +14,7 @@ from nsforge import (
     random_symplectic,
     standard_witness,
 )
+from nsforge import _intlinalg as la
 from nsforge import exterior, normend, scan
 from nsforge.errors import BudgetExceeded, RangeError
 
@@ -52,6 +53,14 @@ class TestEnumerate:
         without = enumerate_classes(
             EnumerationSpec(2, 1, 1, 1, use_prefilters=False))
         assert with_filters == without
+
+    def test_profile_only_keeps_rank_four_unit_class_at_n3(self):
+        """n - u = 2: a (1, 1) profile does not bound the rank by 2u, so no rank prune drops it."""
+        eta = TwoForm.from_coeffs(3, {(0, 3): -1, (1, 2): -1, (1, 4): -1, (1, 5): -1,
+                                      (2, 5): 1, (4, 5): 1})
+        assert check_class(eta) == (1, 1) and la.rank_int(eta.mat) == 4
+        line = [-a for a in eta.coefficient_vector()]  # the walk's echelon pivot is positive
+        assert scan._walk(3, 1, 1, 1, False, [line]) == [tuple(eta.coefficient_vector())]
 
     def test_partition_determinism(self):
         spec = EnumerationSpec(2, 1, 1, 1)
