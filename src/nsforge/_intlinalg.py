@@ -283,8 +283,6 @@ def kernel_basis(a):
     cols = len(a[0]) if rows else 0
     if cols == 0:
         return []
-    if rows == 0:
-        return [col for col in map(list, zip(*identity(cols)))]
     h, u = column_hnf(a)
     ker = []
     for c in range(cols):
@@ -324,9 +322,7 @@ def saturation_basis(columns):
     dim = len(cols[0])
     mat = transpose(cols)  # dim x k
     ann = kernel_basis(transpose(mat))  # vectors y with y^T A = 0
-    if not ann:
-        return [list(col) for col in map(list, zip(*identity(dim)))]
-    return kernel_basis([list(y) for y in ann])
+    return kernel_basis(ann or [[0] * dim])  # no annihilator: a zero row keeps the width
 
 
 def solve_integer(a, b):

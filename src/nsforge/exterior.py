@@ -16,7 +16,6 @@ variable per factor.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
 
 from . import _intlinalg as la
@@ -122,8 +121,7 @@ class IntersectionProfile:
 def pfaffian(mat):
     """Pfaffian of an even-size antisymmetric matrix, exactly.
 
-    Entries may be ints or IntPoly; computed by the perfect-matching
-    expansion with memoization on index subsets.
+    Entries may be ints or IntPoly; computed by ``_sub_pfaffian``.
     """
     m = len(mat)
     if m % 2 != 0:
@@ -132,25 +130,30 @@ def pfaffian(mat):
         raise NotAntisymmetric("matrix must be square")
     if any(mat[i][j] + mat[j][i] for i in range(m) for j in range(i, m)):
         raise NotAntisymmetric("matrix must be antisymmetric")
+    return _sub_pfaffian(mat, tuple(range(m)), {})
 
-    @lru_cache(maxsize=None)
-    def pf(idx):
-        if not idx:
-            return 1
-        i0 = idx[0]
-        rest = idx[1:]
-        total = 0
-        for pos, j in enumerate(rest):
-            a = mat[i0][j]
-            if a:
-                sub = rest[:pos] + rest[pos + 1:]
-                term = a * pf(sub)
-                total = total + (term if pos % 2 == 0 else -term)
-        return total
 
-    result = pf(tuple(range(m)))
-    del pf  # the memoized recursion is a reference cycle: free it and its cache now
-    return result
+def _sub_pfaffian(mat, idx, memo):
+    """Pfaffian of the principal submatrix of mat on the increasing index tuple idx.
+
+    The perfect-matching expansion along the first index, memoized on index
+    subsets in ``memo`` (pass a new dict).  Nothing is validated: mat must
+    be antisymmetric on idx, with int or IntPoly entries.
+    """
+    if not idx:
+        return 1
+    got = memo.get(idx)
+    if got is not None:
+        return got
+    row, rest = mat[idx[0]], idx[1:]
+    total = 0
+    for pos, j in enumerate(rest):
+        a = row[j]
+        if a:
+            term = a * _sub_pfaffian(mat, rest[:pos] + rest[pos + 1:], memo)
+            total = total + (term if pos % 2 == 0 else -term)
+    memo[idx] = total
+    return total
 
 
 def volume_sign(n):

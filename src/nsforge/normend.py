@@ -13,9 +13,10 @@ know (u, d) skip ``check_class``; ``complementary_class`` is the oracle.
 
 The norm matrix and the Frobenius frame of theta on the image
 (``_image_type``) are the whole certificate.  ``glue``, ``is_realizable``,
-``tangent_and_lattice``, ``orbit_equivalent`` and typed ``enumerate_classes``
-read what they need from those two; only ``analyze`` and ``scan_ppav`` go on
-to ``_report``, which adds the kernel lattice and the complement.
+``orbit_equivalent`` and typed ``enumerate_classes`` read what they need from
+those two, and ``tangent_and_lattice`` reads only the image (``_image``);
+only ``analyze`` and ``scan_ppav`` go on to ``_report``, which adds the
+kernel lattice and the complement.
 """
 
 from dataclasses import dataclass
@@ -130,16 +131,23 @@ def analyze(eta):
     return _report(eta, norm_from_class(eta))
 
 
-def _image_type(norm):
-    """The saturated image lattice of a verified norm matrix and theta's Frobenius frame on it.
+def _image(norm):
+    """The saturated image lattice of a verified norm matrix.
 
     N^2 = d N with d >= 1 makes the saturated image of N the lattice
     ker(N - d I) in Z^2n, whose canonical basis is one kernel computation.
-    The frame is ``frobenius_basis`` of the Gram of theta's matrix -J on
-    that basis; its divisors are the polarization type.
     """
     shifted = la.mat_sub(norm.mat, la.mat_scale(norm.d, la.identity(2 * norm.n)))
-    image = IntegerLattice(2 * norm.n, tuple(tuple(v) for v in la.kernel_basis(shifted)))
+    return IntegerLattice(2 * norm.n, tuple(tuple(v) for v in la.kernel_basis(shifted)))
+
+
+def _image_type(norm):
+    """The saturated image lattice (``_image``) and theta's Frobenius frame on it.
+
+    The frame is ``frobenius_basis`` of the Gram of theta's matrix -J on
+    the image basis; its divisors are the polarization type.
+    """
+    image = _image(norm)
     frame = frobenius_basis(gram_matrix(theta(norm.n).mat, image.basis))
     if frame.divisors[-1] != norm.d:
         raise TypeExponentMismatch(f"largest divisor {frame.divisors[-1]} != exponent {norm.d}")

@@ -32,7 +32,7 @@ from .errors import (
     NotInSiegel,
     RangeError,
 )
-from .normend import _image_type, _report, norm_from_class
+from .normend import _image, _report, norm_from_class
 from .scan import _budget, _form, _map_first_entries, _pairs, _walk_block
 from .symplectic import is_symplectic
 
@@ -401,7 +401,7 @@ def tangent_and_lattice(eta, tau, tol=DEFAULT_TOL):
         raise NotAnalytic("class does not vanish for this period matrix")
     norm = norm_from_class(eta)
     n, u = eta.n, norm.u
-    basis = _image_type(norm)[0].basis  # 2u columns
+    basis = _image(norm).basis  # 2u columns
     if tau.backend == EXACT:
         # q (tau | I) b = q (I | -tau) (b_bottom; -b_top): the period block on swapped columns
         q, block = _period_block(tau)
@@ -463,17 +463,15 @@ def _coefficient_lattice(tau):
     """
     n = tau.n
     pairs = _pairs(n)
-    upper = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    if not upper:
-        return pairs, [list(c) for c in zip(*la.identity(len(pairs)))]
     _, block = _period_block(tau)
     rows = []
-    for k, l in upper:
-        rows.append([x - y for x, y in zip(_minors(block, k, l, pairs),
-                                           _minors(block, n + k, n + l, pairs))])
-        rows.append([x + y for x, y in zip(_minors(block, k, n + l, pairs),
-                                           _minors(block, n + k, l, pairs))])
-    return pairs, la.kernel_basis(rows)
+    for k in range(n):
+        for l in range(k + 1, n):
+            rows.append([x - y for x, y in zip(_minors(block, k, l, pairs),
+                                               _minors(block, n + k, n + l, pairs))])
+            rows.append([x + y for x, y in zip(_minors(block, k, n + l, pairs),
+                                               _minors(block, n + k, l, pairs))])
+    return pairs, la.kernel_basis(rows or [[0] * len(pairs)])  # n = 1: no rows, every form vanishes
 
 
 def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):

@@ -9,8 +9,11 @@ Three exact tests prune it:
 
 - the trace: certified (u, d) classes have antidiagonal sum -u d, a linear
   constraint that bounds each antidiagonal slot and fixes the last one;
-- the rank: the complete rows of M span at most 2u dimensions (a test on at
-  most 2u rows always passes and is skipped);
+- the rank: M has rank at most 2u.  Idempotent and typed modes test the
+  complete rows with ``rank_int`` once there are more than 2u of them,
+  except at the last slot, where the row identity decides.  Profile-only
+  mode prunes only for u = n - 1, where the bound is Pf(M) = 0, affine in
+  the last slot x: Pf(M) = x Pf(M[:2n-2, :2n-2]) + Pf(M)|x=0 is solved for x;
 - the row identity (idempotent and typed modes, and both scans): N = J M
   satisfies N^2 = d N iff M J M = d M, that is (r_r J) . r_k = -d M_rk for
   all rows k < r.  It is checked as soon as row r is complete, and where the
@@ -19,8 +22,8 @@ Three exact tests prune it:
 
 With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
 then 2u), and so fix its (u, d) profile.  The default profile-only mode
-accepts such leaves without a Pfaffian and runs ``check_class`` only on the
-rest, since the profile alone does not imply idempotence.
+accepts such leaves without computing a profile and runs ``check_class``
+only on the rest, since the profile alone does not imply idempotence.
 
 The raw box grows as (2 bound + 1)^(n (2n - 1)), so ``enumerate_classes``
 and the float scan refuse one above a hard budget instead of hanging (raise
@@ -35,7 +38,7 @@ from operator import mul
 
 from . import _intlinalg as la
 from .errors import BudgetExceeded, RangeError
-from .exterior import TwoForm, check_class
+from .exterior import TwoForm, _sub_pfaffian, check_class
 from .normend import _image_type, norm_from_class
 
 
@@ -118,11 +121,13 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
-    (u, d).  ``use_prefilters`` switches the trace and rank prunes (the rank
-    prune runs in profile-only mode only when n - u <= 1); the row identity
-    always prunes in idempotent mode.  ``lattice``, an echelon basis
-    in slot order (``_lattice_steps``), restricts the walk to its points;
-    such a walk counts its nodes and raises ``BudgetExceeded`` past
+    (u, d).  ``use_prefilters`` switches the trace and rank prunes: the rank
+    test on the complete rows (``rank_rows``) in idempotent mode, and in
+    profile-only mode with u = n - 1 the solve of the last slot from
+    Pf(M) = 0 (``pf_solutions``); the row identity always prunes in
+    idempotent mode.  ``lattice``, an echelon basis in slot order
+    (``_lattice_steps``), restricts the walk to its points; such a walk
+    counts its nodes and raises ``BudgetExceeded`` past
     ``_LATTICE_NODE_BUDGET``.
     """
     m = 2 * n
@@ -132,16 +137,14 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
     span = range(-bound, bound + 1)
     anti = [j == i + n for i, j in pairs]
     anti_after = [sum(anti[k + 1:]) for k in range(len(pairs))]
-    # rows 0..i are complete at the last slot of row i; test their rank only
-    # when there are more than 2u of them (the final slot's test is left to
-    # the leaf, where the row identity usually makes it unnecessary).  A
-    # profile bounds rank(M) by 2u only when n - u <= 1: N = J M is
-    # skew-Hamiltonian, so its Jordan blocks come in pairs, and a 0-eigenvalue
-    # of multiplicity 2n - 2u >= 4 can carry two blocks of size 2
-    prune_rank = use_prefilters and (idempotent or n - u <= 1)
-    rank_rows = [i + 1 if prune_rank and j == m - 1 and i + 1 > 2 * u and idx < last else 0
-                 for idx, (i, j) in enumerate(pairs)]
-    final_rank = prune_rank and m - 1 > 2 * u
+    # rows 0..i are complete at the last slot of row i.  A profile bounds
+    # rank(M) by 2u only when n - u <= 1: N = J M is skew-Hamiltonian, so its
+    # Jordan blocks come in pairs, and a 0-eigenvalue of multiplicity
+    # 2n - 2u >= 4 can carry two blocks of size 2 (u = n bounds nothing)
+    rank_rows = [i + 1 if use_prefilters and idempotent and j == m - 1 and i + 1 > 2 * u
+                 and idx < last else 0 for idx, (i, j) in enumerate(pairs)]
+    solve_pf = use_prefilters and not idempotent and u == n - 1
+    head, whole = tuple(range(m - 2)), tuple(range(m))
     steps = [None] * len(pairs) if lattice is None else _lattice_steps(len(pairs), lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
     mat = la.zeros(m, m)
@@ -168,14 +171,22 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
             return values
         return (x,) if x in values else ()
 
+    def pf_solutions(values):
+        """The values of M[m-2][m-1] (now 0) for which Pf(M) = x * coef + rest vanishes."""
+        coef = _sub_pfaffian(mat, head, {})
+        rest = _sub_pfaffian(mat, whole, {})
+        if not coef:
+            return () if rest else values
+        x, r = divmod(-rest, coef)
+        return (x,) if not r and x in values else ()
+
     def leaf(trace, holds):
         key = tuple(vec)
         if gcd(*key) != 1:  # zero or not primitive
             return
         if holds and trace == target and _row_holds(mat, m - 1, n, d):
             found.append(key)  # M J M = d M and trace -u d certify it, so the profile is (u, d)
-        elif (not idempotent and not (final_rank and la.rank_int(mat[:m - 1]) > 2 * u)
-              and check_class(_form(n, key)) == (u, d)):
+        elif not idempotent and check_class(_form(n, key)) == (u, d):
             found.append(key)
 
     def dfs(idx, trace, holds):
@@ -203,6 +214,8 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
             slack = bound * anti_after[idx]
             lo, hi = target - trace - slack, target - trace + slack
             values = [a for a in values if lo <= a <= hi]
+        if solve_pf and idx == last:
+            values = pf_solutions(values)
         row_ok = values
         if j == m - 1 and i:  # row i completes here
             row_ok = row_solutions(i, values)

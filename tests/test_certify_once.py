@@ -11,7 +11,9 @@ The norm matrix and the Frobenius frame of theta on its image
 (``normend._image_type``) are the whole certificate.  ``glue``,
 ``standard_witness``, ``is_realizable``, ``tangent_and_lattice`` and
 ``orbit_equivalent`` read it from those two and never build the full report
-(``analyze``/``_report``), and ``is_realizable`` derives each frame once.
+(``analyze``/``_report``), ``is_realizable`` derives each frame once, and
+``tangent_and_lattice``, which reads only the image (``normend._image``),
+derives none.
 """
 
 import gc
@@ -207,6 +209,18 @@ def test_constructions_build_no_full_report(monkeypatch):
     assert len(tangent_and_lattice(type22_class(), realized.tau)["lattice"][0]) == 4
     assert orbit_equivalent(eta, type22_class())
     assert not orbit_equivalent(eta, standard_witness(4, 2, (1, 2))[1])
+
+
+def test_tangent_builds_no_frame(monkeypatch):
+    """The tangent and period lattice need the image basis only, not theta's frame on it."""
+    cases = [(type22_class(), is_realizable(type22_class()).tau), standard_witness(4, 2, (2, 2))[::-1],
+             standard_witness(3, 1, (2,))[::-1]]
+    calls = []
+    original = symplectic.frobenius_basis
+    _patch_every_binding(monkeypatch, original, lambda gram: calls.append(gram) or original(gram))
+    for eta, tau in cases:
+        assert len(tangent_and_lattice(eta, tau)["tangent"][0]) == 2 * check_class(eta)[0]
+    assert calls == []
 
 
 def test_is_realizable_derives_each_frame_once(monkeypatch):

@@ -28,7 +28,8 @@ from nsforge.errors import (
     RangeError,
     ZeroForm,
 )
-from nsforge.exterior import expected_profile, is_primitive_mod_theta
+from nsforge import _intlinalg as la
+from nsforge.exterior import _sub_pfaffian, expected_profile, is_primitive_mod_theta
 
 from conftest import type22_class
 from oracle import mixed_intersection_oracle
@@ -64,6 +65,32 @@ class TestPfaffian:
                         for a in range(2 * n) for b in range(2 * n))
                     for j in range(2 * n)] for i in range(2 * n)]
             assert pfaffian(sms) == pfaffian(m)
+
+    def test_sub_pfaffian_matches_pfaffian_and_determinant(self):
+        """The unvalidated expansion is the Pfaffian of every principal submatrix, and Pf^2 = det."""
+        rng = random.Random(13)
+        for m in (2, 4, 6, 8):
+            for _ in range(6):
+                mat = [list(r) for r in random_form(rng, m // 2).mat]
+                whole = tuple(range(m))
+                assert _sub_pfaffian(mat, whole, {}) == pfaffian(mat)
+                assert pfaffian(mat) ** 2 == la.det_bareiss(mat)
+                idx = tuple(sorted(rng.sample(whole, m - 2)))
+                sub = [[mat[i][j] for j in idx] for i in idx]
+                assert _sub_pfaffian(mat, idx, {}) == pfaffian(sub)
+
+    def test_pfaffian_is_affine_in_the_last_slot(self):
+        """Pf(M) = x Pf(M[:m-2, :m-2]) + Pf(M)|x=0 for x = M[m-2][m-1], which the walker solves."""
+        rng = random.Random(17)
+        for m in (4, 6, 8):
+            for _ in range(6):
+                mat = [list(r) for r in random_form(rng, m // 2).mat]
+                mat[m - 2][m - 1] = mat[m - 1][m - 2] = 0
+                rest = pfaffian(mat)
+                coef = pfaffian([row[:m - 2] for row in mat[:m - 2]])
+                for x in (-3, -1, 1, 2, 5):
+                    mat[m - 2][m - 1], mat[m - 1][m - 2] = x, -x
+                    assert pfaffian(mat) == x * coef + rest
 
     def test_odd_size_rejected(self):
         with pytest.raises(OddDimension):

@@ -485,6 +485,12 @@ class TestSearchCore:
             _, kernel = riemann._coefficient_lattice(tau)
             assert la.lattice_basis(kernel) == la.lattice_basis(reference_coefficient_lattice(tau)[1])
 
+    def test_unit_dimension_lattice_is_every_form(self):
+        """n = 1 has no residual rows: every 2-form vanishes, the lattice is Z."""
+        for tau in (PeriodMatrix.exact([[QQi(0, 1)]]), PeriodMatrix.exact([[QQi(Fraction(1, 2), 3)]])):
+            assert riemann._coefficient_lattice(tau) == ([(0, 1)], [[1]])
+            assert reference_coefficient_lattice(tau)[1] == [[1]]
+
     def test_coefficient_lattice_evaluates_no_residual(self, monkeypatch):
         taus = [sample_shape_tau(), type22_class_tau()] + _exact_scan_taus()[::5]
         expected = [la.lattice_basis(reference_coefficient_lattice(tau)[1]) for tau in taus]

@@ -54,6 +54,46 @@ class TestEnumerate:
             EnumerationSpec(2, 1, 1, 1, use_prefilters=False))
         assert with_filters == without
 
+    def test_n3_lattice_walks_agree_with_and_without_prefilters(self, monkeypatch):
+        """Trace, rank and the last-slot Pfaffian solve drop no n = 3 class in either mode.
+
+        Each lattice is spanned by bounded classes found by sampling: (2, 1)
+        profiles with and without an idempotent norm, (1, 1) and (1, 2) ones.
+        """
+        spans = [
+            [[-1, 0, -1, -1, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1], [0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0],
+             [0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0], [0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1, 0]],
+            [[0, -1, -1, 0, 0, 0, 0, -1, 1, 1, -1, 0, 0, -1, 0], [0, 0, -1, 0, 0, 1, 0, -1, 0, -1, 0, 0, 0, 0, 0],
+             [0, 1, -1, 1, -1, 0, 0, 0, 0, 0, 0, -1, 1, 1, 0], [1, 0, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0, 0, 0, 0],
+             [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0]],
+            [[0, 0, 0, 1, 0, 0, 0, -1, 1, 0, 0, -1, 0, 0, 0], [0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0, 0],
+             [0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 1, -1, 0, 0, 1], [0, -1, 0, 1, 0, 1, 0, 0, 1, 0, 0, -1, 0, 0, 0],
+             [0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]],
+        ]
+        coefs = []
+        original = scan._sub_pfaffian
+
+        def recorded(mat, idx, memo):
+            value = original(mat, idx, memo)
+            if len(idx) == 4:  # the coefficient Pf(M[:4, :4]) of the last slot
+                coefs.append(value)
+            return value
+
+        monkeypatch.setattr(scan, "_sub_pfaffian", recorded)
+        profile_u2_hits = 0
+        for span in spans:
+            lattice = la.lattice_basis(span)
+            assert len(lattice) <= 6
+            for u in (1, 2):
+                for d in (1, 2):
+                    for idempotent in (False, True):
+                        pruned = scan._walk(3, u, d, 1, idempotent, lattice)
+                        assert pruned == scan._walk(3, u, d, 1, idempotent, lattice, None, False)
+                        if u == 2 and not idempotent:
+                            profile_u2_hits += len(pruned)
+        assert profile_u2_hits > 0
+        assert 0 in coefs and any(coefs)
+
     def test_profile_only_keeps_rank_four_unit_class_at_n3(self):
         """n - u = 2: a (1, 1) profile does not bound the rank by 2u, so no rank prune drops it."""
         eta = TwoForm.from_coeffs(3, {(0, 3): -1, (1, 2): -1, (1, 4): -1, (1, 5): -1,
@@ -205,6 +245,20 @@ class TestWalkerWork:
                             lambda eta: calls.append(eta) or original(eta))
         assert len(enumerate_classes(EnumerationSpec(2, 1, 2, 3))) == 980
         assert calls == []
+
+    @pytest.mark.parametrize("n,u,d,bound", [spec for spec in ENUM_GRID if spec[1] == 1])
+    def test_profile_only_walk_runs_no_rank(self, monkeypatch, n, u, d, bound):
+        """u = n - 1 solves the last slot from Pf(M) = 0 instead of ranking each leaf."""
+        spec = EnumerationSpec(n, u, d, bound)
+        expected = enumerate_classes(spec)
+
+        def refuse(a):
+            raise AssertionError("the walker computed a rank")
+
+        proxy = types.SimpleNamespace(**vars(scan.la))
+        proxy.rank_int = refuse
+        monkeypatch.setattr(scan, "la", proxy)
+        assert enumerate_classes(spec) == expected
 
     def test_idempotent_mode_certifies_hits_at_most_once(self, monkeypatch):
         calls = []

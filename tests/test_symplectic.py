@@ -182,6 +182,17 @@ class TestLatticeHelpers:
                 sat = la.saturation_basis(ker)
                 assert sorted(map(tuple, sat)) == sorted(map(tuple, ker))
 
+    def test_kernel_of_a_zero_row_is_the_identity_basis(self):
+        """One zero row fixes the width, so an empty map needs no special case."""
+        for cols in (1, 3, 6):
+            assert la.kernel_basis([[0] * cols]) == [list(c) for c in zip(*la.identity(cols))]
+
+    def test_saturation_of_a_full_rank_span_is_the_identity_basis(self):
+        """No annihilator: the saturation is all of Z^dim."""
+        for cols in ([[2, 0], [1, 3]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]]):
+            dim = len(cols[0])
+            assert la.saturation_basis(cols) == [list(c) for c in zip(*la.identity(dim))]
+
     def test_solve_integer(self):
         a = [[2, 0], [0, 3]]
         assert la.solve_integer(a, [4, 9]) == [2, 3]
