@@ -6,16 +6,17 @@ golden tests and certificates, and a binary64 one for scanning.  A class
 vanishes for tau when eta ^ dz_1 ^ ... ^ dz_n = 0, equivalently when the
 residual R = P M P^T with P = (I | -tau), the restriction to the kernel of
 (tau | I), is zero.  As a map of the coefficients of eta, R has the 2 x 2
-minors of P as coefficients.  Exact decisions test q^2 R over the integers,
-as the congruence by the integer period block of q P; the float scan
-filters with the minors of P.  The exact tangent, the Moebius action and
-the positive-definiteness test run on the integer parts of q tau too.  The
-wedge expansion (``wedge_coefficients``) is the test reference.  Both
+minors of P as coefficients, and every vanishing question reads them:
+exact decisions test q^2 R over the integers, as the congruence by the
+integer period block of q P; the float test and the float scan bound each
+entry by the minors of P in binary64; the symbolic relations are the same
+minors over Z[tau].  The exact tangent, the Moebius action and the
+positive-definiteness test run on the integer parts of q tau too.  The
+wedge expansion is the test reference (``tests/oracle.py``).  Both
 backends of ``scan_ppav`` search with ``scan._walk``.
 """
 
 import cmath
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
@@ -25,7 +26,6 @@ from . import scan
 from ._gaussian import QQi
 from ._poly import IntPoly
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     NotAlternating,
     NotAnalytic,
@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
 )
 from .normend import _image, _report, norm_from_class
-from .scan import _budget, _form, _map_first_entries, _pairs, _walk_block
+from .scan import _check_box_budget, _form, _map_first_entries, _pairs, _walk_block
 from .symplectic import is_symplectic
 
 EXACT = "exact"
@@ -143,109 +143,46 @@ def tau_var_pairs(n):
     return [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
 
 
-def _zero(backend):
-    return QQi(0) if backend == EXACT else 0j
-
-
-def _one_like_backend(backend):
-    return QQi(1) if backend == EXACT else 1 + 0j
-
-
-def _dz_coefficients(tau):
-    """Expansion of dz_1 ^ ... ^ dz_n over n-subsets of the 2n coordinates.
-
-    With z = (tau | I) x, the coefficient on dx_S is the minor of (tau | I)
-    on columns S.
-    """
-    n = tau.n
-    m = 2 * n
-    one, zero = _one_like_backend(tau.backend), _zero(tau.backend)
-    pi = [list(tau.rows[k]) + [one if i == k else zero for i in range(n)] for k in range(n)]
-    coeffs = {}
-    for subset in itertools.combinations(range(m), n):
-        sub = [[pi[r][c] for c in subset] for r in range(n)]
-        det = _det_generic(sub, tau.backend)
-        if _nonzero(det, tau.backend):
-            coeffs[subset] = det
-    return coeffs
-
-
-def _nonzero(x, backend):
-    return bool(x) if backend == EXACT else x != 0
-
-
-def _det_generic(mat, backend):
-    """Determinant over QQi (exact division) or complex (partial pivoting)."""
-    n = len(mat)
-    m = [list(row) for row in mat]
-    det = _one_like_backend(backend)
-    for k in range(n):
-        if backend == EXACT:
-            piv = next((i for i in range(k, n) if m[i][k]), None)
-        else:
-            piv = max(range(k, n), key=lambda i: abs(m[i][k]))
-            if abs(m[piv][k]) == 0.0:
-                piv = None
-        if piv is None:
-            return _zero(backend)
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k]
-        inv = m[k][k]
-        for i in range(k + 1, n):
-            if _nonzero(m[i][k], backend):
-                f = m[i][k] / inv
-                for j in range(k, n):
-                    m[i][j] = m[i][j] - f * m[k][j]
-    return det
-
-
-def _merge_sign(pair, subset):
-    """Sign of sorting (i, j) + subset into increasing order; None if not disjoint."""
-    i, j = pair
-    if i in subset or j in subset:
-        return None
-    c_i = sum(1 for s in subset if s < i)
-    c_j = sum(1 for s in subset if s < j)
-    return -1 if (c_i + c_j) % 2 else 1
-
-
-def wedge_coefficients(eta, tau):
-    """Coefficients of eta ^ dz_1 ^ ... ^ dz_n on the (n+2)-form basis."""
-    if eta.n != tau.n:
-        raise DimensionMismatch("form and period matrix sizes differ")
-    dz = _dz_coefficients(tau)
-    out = {}
-    for (i, j), a in eta.coeffs().items():
-        for subset, det in dz.items():
-            sign = _merge_sign((i, j), subset)
-            if sign is None:
-                continue
-            key = tuple(sorted((i, j) + subset))
-            val = out.get(key, _zero(tau.backend)) + (sign * a) * det
-            if _nonzero(val, tau.backend):
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
-
-
 def wedge_vanishes(eta, tau, tol=DEFAULT_TOL):
     """Test of the holomorphic vanishing condition eta ^ dz_1 ^ ... ^ dz_n = 0.
 
     Exact backend: every integer entry of q^2 R is zero (``residual_matrix``).
-    Float backend: every expanded coefficient is within tol * (1 + max |tau_kl|)^2.
+    Float backend: every strictly-upper entry of R, the minors of P applied to
+    the coefficients of eta (``_float_rows``), is within tol * (1 + max |tau_kl|)^2.
     """
     _check_tol(tol)
     if tau.backend == EXACT:
         return _exact_vanishes(eta, tau)
-    bound = tol * (1 + tau.max_abs()) ** 2
-    return all(abs(v) <= bound for v in wedge_coefficients(eta, tau).values())
+    if eta.n != tau.n:
+        raise DimensionMismatch("form and period matrix sizes differ")
+    return _within(_float_rows(tau), eta.coefficient_vector(), _float_limit(tau, tol))
+
+
+def _float_limit(tau, tol):
+    """The float zero limit tol * (1 + max |tau_kl|)^2 on each residual entry."""
+    try:
+        return tol * (1 + tau.max_abs()) ** 2
+    except OverflowError:
+        raise RangeError("period matrix entries too large to scale the float tolerance") from None
+
+
+def _within(rows, vec, limit):
+    """Every residual entry row . vec is within the limit; a NaN entry never is."""
+    for row in rows:
+        acc = 0j
+        for coef, a in zip(row, vec):
+            if a:
+                acc += a * coef
+        if not abs(acc) <= limit:
+            return False
+    return True
 
 
 def _residual(eta, t):
-    """R = M11 - t M21 - M12 t + t M22 t over the ring of the entries of t."""
+    """R = M11 - t M21 - M12 t + t M22 t over the ring of the entries of t.
+
+    The float ``residual_matrix`` keeps it for the rounding the CLI prints.
+    """
     n = len(t)
     if eta.n != n:
         raise DimensionMismatch("form and period matrix sizes differ")
@@ -333,25 +270,27 @@ def residual_matrix(eta, tau):
     return _residual(eta, tau.rows)
 
 
-def residual_is_zero(eta, tau, tol=DEFAULT_TOL):
-    """R = 0: exactly (every integer of q^2 R is 0) or within the float tolerance."""
-    _check_tol(tol)
-    if tau.backend == EXACT:
-        return _exact_vanishes(eta, tau)
-    bound = tol * (1 + tau.max_abs()) ** 2
-    return all(abs(x) <= bound for row in residual_matrix(eta, tau) for x in row)
-
-
 def residual_polynomials(eta):
     """The residual matrix with symbolic tau entries, as integer polynomials.
 
     Entry (k, l) is the exact polynomial whose value at a concrete tau is
-    residual_matrix(eta, tau)[k][l]; no normalization is applied.
+    residual_matrix(eta, tau)[k][l]; no normalization is applied.  It sums
+    the minors of rows k, l of the symbolic P = (I | -T) on the nonzero
+    coefficients of eta.
     """
     n = eta.n
-    tsym = [[IntPoly.var(tau_var_index(n, min(k, l) + 1, max(k, l) + 1))
-             for l in range(n)] for k in range(n)]
-    return _residual(eta, tsym)
+    p = [[int(i == k) for i in range(n)]
+         + [IntPoly.var(tau_var_index(n, min(k, l) + 1, max(k, l) + 1), -1) for l in range(n)]
+         for k in range(n)]
+    terms = eta.coeffs()
+    polys = [[IntPoly()] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            entry = IntPoly()
+            for a, minor in zip(terms.values(), _minors(p, k, l, terms)):
+                entry = entry + a * minor
+            polys[k][l], polys[l][k] = entry, -entry
+    return polys
 
 
 def _canonical_poly(p):
@@ -491,9 +430,7 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     if not 1 <= u <= n:
         raise RangeError("need 1 <= u <= n")
     if tau.backend == FLOAT:
-        est = (2 * bound + 1) ** (n * (2 * n - 1))
-        if est > _budget():
-            raise BudgetExceeded(f"scan space {est} exceeds budget {_budget()}")
+        _check_box_budget(n, bound, "scan")
     if d < 1:  # no class has a profile with exponent below 1
         return []
     if tau.backend == EXACT:
@@ -505,28 +442,15 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
         eta = _form(n, vec)
         if tau.backend == EXACT:
             assert wedge_vanishes(eta, tau), "internal: kernel member fails the wedge test"
-        elif not wedge_vanishes(eta, tau, tol=tol):
-            continue
         reports.append(_report(eta, norm_from_class(eta, u, d)))
     return reports
 
 
 def _float_scan_vectors(tau, u, d, bound, tol, jobs):
     """Certified (u, d) coefficient vectors whose float residual entries are within the limit."""
-    rows = _float_rows(tau)
-    limit = tol * (1 + tau.max_abs()) ** 2
-    hits = []
-    for vec in _map_first_entries(_walk_block, (tau.n, u, d, bound, True, None), bound, jobs):
-        for row in rows:
-            acc = 0j
-            for coef, a in zip(row, vec):
-                if a:
-                    acc += a * coef
-            if abs(acc) > limit:
-                break
-        else:
-            hits.append(vec)
-    return hits
+    rows, limit = _float_rows(tau), _float_limit(tau, tol)
+    walked = _map_first_entries(_walk_block, (tau.n, u, d, bound, True, None), bound, jobs)
+    return [vec for vec in walked if _within(rows, vec, limit)]
 
 
 def _float_rows(tau):

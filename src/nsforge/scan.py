@@ -63,11 +63,15 @@ class EnumerationSpec:
 _LATTICE_NODE_BUDGET = 20_000_000  # nodes of one lattice walk (the exact scan)
 
 
-def _budget():
+def _check_box_budget(n, bound, noun):
+    """Refuse a raw box of (2 bound + 1)^(n (2n - 1)) points above the budget."""
     try:
-        return int(os.environ.get("NSFORGE_BUDGET", "2000000"))
+        budget = int(os.environ.get("NSFORGE_BUDGET", "2000000"))
     except ValueError:
-        return 2_000_000
+        budget = 2_000_000
+    est = (2 * bound + 1) ** (n * (2 * n - 1))
+    if est > budget:
+        raise BudgetExceeded(f"{noun} space {est} exceeds budget {budget}")
 
 
 def _pairs(n):
@@ -280,9 +284,7 @@ def enumerate_classes(spec, first_entry_values=None):
     n, u, d, bound = spec.n, spec.u, spec.d, spec.bound
     if not spec.allow_large and (n > 4 or bound > 3):
         raise RangeError("enumeration is desk scale: n <= 4, bound <= 3 (override with allow_large)")
-    est = (2 * bound + 1) ** (n * (2 * n - 1))
-    if est > _budget():
-        raise BudgetExceeded(f"candidate space {est} exceeds budget {_budget()}")
+    _check_box_budget(n, bound, "candidate")
     if first_entry_values is not None:
         first_entry_values = sorted(set(first_entry_values))
         if any(abs(a) > bound for a in first_entry_values):

@@ -5,7 +5,9 @@ products are expanded term by term with explicit permutation signs.  Slow
 and simple on purpose: this is the reference the fast paths are measured
 against.  The reference invariants below are the symbolic
 Pfaffian pencil, the point-by-point characteristic polynomial and the
-saturated image; the reference searches are the plain walker,
+saturated image; the reference vanishing test is the expansion of
+eta ^ dz_1 ^ ... ^ dz_n on the (n + 2)-form basis, on both backends;
+the reference searches are the plain walker,
 the full-box float scan and the trace-coset exact scan that the search
 paths are checked against; the reference solves at the end are the Gaussian-rational
 and Fraction versions of the period-matrix solves, the tangent rank, the
@@ -114,6 +116,69 @@ def reference_image_basis(norm):
 
     columns = la.transpose([list(r) for r in norm.mat])
     return saturate([c for c in columns if any(c)]).basis
+
+
+# ------------------------------------------------------------------------
+# Reference vanishing test: eta ^ dz_1 ^ ... ^ dz_n expanded on the
+# (n + 2)-form basis, over Q(i) or in binary64, which the residual minors of
+# ``nsforge.riemann`` replaced on both backends.
+
+
+def _reference_det(mat, one):
+    """Determinant by elimination: first nonzero pivot over Q(i), partial pivoting over C."""
+    n = len(mat)
+    m = [list(row) for row in mat]
+    exact = not isinstance(one, complex)
+    det = one
+    for k in range(n):
+        if exact:
+            piv = next((i for i in range(k, n) if m[i][k]), None)
+        else:
+            piv = max(range(k, n), key=lambda i: abs(m[i][k]))
+            if abs(m[piv][k]) == 0.0:
+                piv = None
+        if piv is None:
+            return one * 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det = det * m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] / m[k][k]
+                for j in range(k, n):
+                    m[i][j] = m[i][j] - f * m[k][j]
+    return det
+
+
+def reference_wedge_coefficients(eta, tau):
+    """The nonzero coefficients of eta ^ dz_1 ^ ... ^ dz_n.
+
+    With z = (tau | I) x, dz_1 ^ ... ^ dz_n has the minor of (tau | I) on
+    columns S as its coefficient on dx_S.
+    """
+    import itertools
+
+    from nsforge._gaussian import QQi
+
+    n = tau.n
+    one = QQi(1) if tau.backend == "exact" else 1 + 0j
+    pi = [list(tau.rows[k]) + [one if i == k else one * 0 for i in range(n)] for k in range(n)]
+    dz = {}
+    for subset in itertools.combinations(range(2 * n), n):
+        det = _reference_det([[pi[r][c] for c in subset] for r in range(n)], one)
+        if det:
+            dz[subset] = det
+    return wedge(two_form_dict(eta), dz)
+
+
+def reference_wedge_vanishes(eta, tau, tol=1e-9):
+    """No coefficient of the expansion: exactly, or each within tol * (1 + max |tau_kl|)^2."""
+    coeffs = reference_wedge_coefficients(eta, tau)
+    if tau.backend == "exact":
+        return not coeffs
+    limit = tol * (1 + tau.max_abs()) ** 2
+    return all(abs(v) <= limit for v in coeffs.values())
 
 
 # ------------------------------------------------------------------------
@@ -238,13 +303,13 @@ def reference_coefficient_lattice(tau):
 
 
 def reference_float_scan(tau, u, d, bound, tol):
-    """Float ``scan_ppav``: the residual filter over every box point, then certification."""
+    """Float ``scan_ppav``: the residual filter over every box point, certification, then
+    the decision of the reference expansion."""
     import itertools
 
     from nsforge.errors import NsforgeError
     from nsforge.exterior import TwoForm, is_primitive
     from nsforge.normend import _report, norm_from_class
-    from nsforge.riemann import wedge_vanishes
 
     n = tau.n
     pairs, rows = reference_residual_rows(tau)
@@ -271,7 +336,7 @@ def reference_float_scan(tau, u, d, bound, tol):
             norm = norm_from_class(eta, u, d)
         except NsforgeError:
             continue
-        if wedge_vanishes(eta, tau, tol=tol):
+        if reference_wedge_vanishes(eta, tau, tol):
             reports.append(_report(eta, norm))
     return reports
 

@@ -241,6 +241,17 @@ class TestErrors:
             found = [c["class"]["coeffs"] for c in payload["classes"]]
             assert [{"i": 1, "j": 3, "a": -1}] in found
 
+    def test_float_tolerance_overflow_is_a_range_error(self, tmp_path):
+        # (1 + max |tau_kl|)^2 overflows binary64 on diag(1e200 i, 2e200 i)
+        big = str(10**200)
+        tau = {"n": 2, "backend": "exact",
+               "entries": [[["0", big], ["0", "0"]], [["0", "0"], ["0", "2" + big[1:]]]]}
+        eta = {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": -1}]}
+        result = cli.run(["analytic", "--in", write_json(tmp_path, "e.json", eta),
+                          "--tau", write_json(tmp_path, "t.json", tau), "--backend", "float"])
+        assert result.exit_code == 2
+        assert result.payload["error"]["code"] == "RangeError"
+
     @pytest.mark.parametrize("u", ["0", "3"])
     def test_scan_u_out_of_range(self, tmp_path, u):
         tau = {"n": 2, "backend": "exact",

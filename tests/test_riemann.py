@@ -33,11 +33,9 @@ from nsforge.errors import (
 )
 from nsforge.riemann import (
     _residual,
-    residual_is_zero,
     residual_polynomials,
     tau_var_index,
     tau_var_pairs,
-    wedge_coefficients,
 )
 from nsforge._poly import IntPoly
 
@@ -47,6 +45,8 @@ from oracle import (
     reference_exact_scan,
     reference_float_scan,
     reference_residual_rows,
+    reference_wedge_coefficients,
+    reference_wedge_vanishes,
 )
 
 
@@ -158,8 +158,8 @@ class TestResidual:
             tau, eta = standard_witness(n, u, divisors)
             cases.append((eta, tau))
         for eta, tau in cases:
-            expected = not wedge_coefficients(eta, tau)
-            assert residual_is_zero(eta, tau) == expected
+            expected = not reference_wedge_coefficients(eta, tau)
+            assert (not any(map(any, residual_matrix(eta, tau)))) == expected
             assert wedge_vanishes(eta, tau) == expected
 
     def test_agreement_with_wedge_float(self):
@@ -168,7 +168,7 @@ class TestResidual:
             n = rng.choice([2, 3])
             eta = random_form(rng, n)
             tau = random_float_tau(rng, n)
-            assert residual_is_zero(eta, tau) == wedge_vanishes(eta, tau)
+            assert wedge_vanishes(eta, tau) == reference_wedge_vanishes(eta, tau)
 
     def test_integer_residual_matches_gaussian_formula(self):
         # q^2 R over the integers, divided by q^2, equals R computed over QQi
@@ -197,17 +197,17 @@ class TestResidual:
                         r = residual_matrix(eta, tau)
                         assert r == _residual(eta, tau.rows)
                         zero = all(not x for row in r for x in row)
-                        assert residual_is_zero(eta, tau) == zero
+                        assert wedge_vanishes(eta, tau) == zero
                         vanishing += zero
         assert vanishing >= 60  # theta(n) vanishes for every tau
         tau, eta = standard_witness(4, 2, (2, 2))
         assert residual_matrix(eta, tau) == _residual(eta, tau.rows)
-        assert residual_is_zero(eta, tau)
+        assert wedge_vanishes(eta, tau)
 
     def test_size_mismatch_raises(self):
         rng = random.Random(13)
         for tau in (random_exact_tau(rng, 3), random_float_tau(rng, 3)):
-            for check in (residual_matrix, residual_is_zero, wedge_vanishes):
+            for check in (residual_matrix, wedge_vanishes):
                 with pytest.raises(DimensionMismatch, match="sizes differ"):
                     check(theta(2), tau)
 
@@ -241,32 +241,44 @@ class TestResidual:
 
 
 class TestExactDecisionsSkipExpansion:
-    """Exact vanishing decisions never expand eta ^ dz_1 ^ ... ^ dz_n."""
+    """Exact vanishing decisions read the integer residual only; the float test reads the
+    float residual map."""
 
     @pytest.fixture
-    def expansions(self, monkeypatch):
+    def float_rows(self, monkeypatch):
         calls = []
-        original = riemann._dz_coefficients
+        original = riemann._float_rows
 
         def counted(tau):
             calls.append(tau.backend)
             return original(tau)
 
-        monkeypatch.setattr(riemann, "_dz_coefficients", counted)
+        monkeypatch.setattr(riemann, "_float_rows", counted)
         return calls
 
-    def test_constructions_and_scan(self, expansions):
+    def test_constructions_and_scan(self, float_rows):
         eta = type22_class()
         standard_witness(4, 2, (2, 2))
         w = is_realizable(eta)
         tangent_and_lattice(eta, w.tau)
         assert any(r.eta == eta for r in scan_ppav(w.tau, 2, 2, 1))
         assert wedge_vanishes(eta, w.tau)
-        assert expansions == []
+        assert float_rows == []
 
-    def test_float_wedge_keeps_the_expansion(self, expansions):
+    def test_float_wedge_reads_the_residual_rows(self, float_rows):
         assert wedge_vanishes(type22_class(), sample_shape_tau().to_float())
-        assert expansions == ["float"]
+        assert float_rows == ["float"]
+
+    def test_float_scan_decides_without_a_wedge_test(self, monkeypatch):
+        cases = [(tau, 1, 1, 2) for tau in _float_scan_taus()]
+        expected = [scan_ppav(*case) for case in cases]
+        assert any(expected)
+
+        def no_wedge(*args, **kwargs):
+            pytest.fail("the float scan re-decided a hit with wedge_vanishes")
+
+        monkeypatch.setattr(riemann, "wedge_vanishes", no_wedge)
+        assert [scan_ppav(*case) for case in cases] == expected
 
 
 class TestSymbolicRelations:
@@ -569,7 +581,7 @@ class TestTolerance:
         if backend == "float":
             tau = tau.to_float()
         eta = TwoForm.from_coeffs(2, {(0, 2): -1})
-        for call in (wedge_vanishes, residual_is_zero, tangent_and_lattice):
+        for call in (wedge_vanishes, tangent_and_lattice):
             with pytest.raises(RangeError, match="tol"):
                 call(eta, tau, tol=tol)
         with pytest.raises(RangeError, match="tol"):
@@ -578,5 +590,69 @@ class TestTolerance:
     def test_zero_tol_keeps_exact_zeros(self):
         tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
         eta = TwoForm.from_coeffs(2, {(0, 2): -1})
-        assert wedge_vanishes(eta, tau, tol=0) and residual_is_zero(eta, tau, tol=0)
+        assert wedge_vanishes(eta, tau, tol=0)
         assert eta in [r.eta for r in scan_ppav(tau, 1, 1, 1, tol=0)]
+
+    def test_float_limit_overflow_is_a_range_error(self):
+        # (1 + max |tau_kl|)^2 overflows binary64 for entries above about 1.4e154
+        tau = PeriodMatrix.exact([[QQi(0, 10**200), QQi(0)], [QQi(0), QQi(0, 2 * 10**200)]])
+        eta = TwoForm.from_coeffs(2, {(0, 2): -1})
+        assert wedge_vanishes(eta, tau)
+        with pytest.raises(RangeError, match="too large"):
+            wedge_vanishes(eta, tau.to_float())
+        with pytest.raises(RangeError, match="too large"):
+            scan_ppav(tau.to_float(), 1, 1, 1)
+
+
+# the witnesses of the construct benchmark workload: (n, u, type)
+CONSTRUCT_WITNESSES = [(6, 3, (2, 2, 2)), (2, 1, (1,)), (6, 1, (1,)), (3, 1, (2,)),
+                       (6, 2, (1, 1)), (4, 2, (2, 2)), (5, 2, (1, 2)), (2, 1, (2,)),
+                       (2, 1, (3,)), (3, 1, (3,)), (3, 1, (4,))]
+
+
+def _decision_corpus():
+    """(eta, exact tau) pairs: each construct witness and two Moebius conjugates of it, with
+    the transported class, the exact scan's hits on the n <= 3 conjugates, theta and two
+    seeded random forms."""
+    rng = random.Random(14)
+    cases = []
+    for n, u, typ in CONSTRUCT_WITNESSES:
+        tau, eta = standard_witness(n, u, typ)
+        cases += [(eta, tau), (theta(n), tau), (random_form(rng, n), tau)]
+        for seed in (1, 2):
+            s = random_symplectic(n, seed, 3)
+            conj = moebius(s, tau)
+            forms = [act(s, eta), random_form(rng, n)]
+            if n <= 3:
+                forms += [r.eta for r in scan_ppav(conj, u, typ[-1], 1)]
+            cases += [(form, conj) for form in forms]
+    return cases
+
+
+class TestReferenceExpansion:
+    """The residual minors decide as the expansion of eta ^ dz_1 ^ ... ^ dz_n does."""
+
+    def test_float_decision_matches_the_expansion(self):
+        decided = set()
+        for eta, tau in _decision_corpus():
+            ftau = tau.to_float()
+            got = wedge_vanishes(eta, ftau)
+            assert got == reference_wedge_vanishes(eta, ftau), (eta, tau)
+            decided.add(got)
+        assert decided == {True, False}
+
+    def test_polynomials_equal_the_block_formula(self):
+        rng = random.Random(15)
+        forms = [standard_witness(n, u, typ)[1] for n, u, typ in CONSTRUCT_WITNESSES]
+        forms += [random_form(rng, rng.choice([2, 3, 4])) for _ in range(20)]
+        for eta in forms:
+            n = eta.n
+            tsym = [[IntPoly.var(tau_var_index(n, min(k, l) + 1, max(k, l) + 1))
+                     for l in range(n)] for k in range(n)]
+            assert residual_polynomials(eta) == _residual(eta, tsym), eta
+
+    def test_zero_form_has_no_relations(self):
+        for n in (1, 2, 4):
+            zero = TwoForm.from_coeffs(n, {})
+            assert all(not p for row in residual_polynomials(zero) for p in row)
+            assert symbolic_relations(zero).polynomials == ()
