@@ -281,23 +281,10 @@ def kernel_basis(a):
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
     h, u = column_hnf(a)
-    ker = []
-    for c in range(cols):
-        if all(h[r][c] == 0 for r in range(rows)):
-            ker.append([u[r][c] for r in range(cols)])
-    if not ker:
-        return []
-    # canonicalize through a second HNF
-    kh, _ = column_hnf(transpose(ker))
-    out = []
-    for c in range(len(ker)):
-        col = [kh[r][c] for r in range(cols)]
-        if any(col):
-            out.append(col)
-    return out
+    ker = [[u[r][c] for r in range(cols)] for c in range(cols)
+           if all(h[r][c] == 0 for r in range(rows))]
+    return lattice_basis(ker)  # canonicalize through a second HNF
 
 
 def lattice_basis(columns):

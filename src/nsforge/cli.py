@@ -11,18 +11,10 @@ import sys
 from dataclasses import dataclass
 
 from . import jsonio
-from .construct import (
-    GluingSpec,
-    PolarizedFactor,
-    complementary_type,
-    glue,
-    is_realizable,
-    standard_witness,
-)
-from .errors import NsforgeError, RangeError
+from .construct import glue, is_realizable, standard_witness
+from .errors import NotPrimitiveModL, NsforgeError, RangeError
 from .exterior import check_class, check_class_mod_L, intersection_profile
-from .errors import NotPrimitiveModL
-from .humbert import eta_from_singular, humbert_relation, singular_from_eta
+from .humbert import SingularDatum, eta_from_singular, humbert_relation, singular_from_eta
 from .normend import analyze, norm_from_class, polynomial_certificate
 from .riemann import (
     DEFAULT_TOL,
@@ -40,7 +32,6 @@ from .symplectic import act, random_symplectic
 class CommandResult:
     status: str  # "ok" | "negative" | "error"
     payload: object
-    diagnostics: list
 
     @property
     def exit_code(self):
@@ -107,14 +98,14 @@ def _build_parser():
 def _cmd_profile(args):
     eta = jsonio.two_form_from_json(_read_json(args.infile))
     prof = intersection_profile(eta)
-    return CommandResult("ok", {"n": prof.n, "values": list(prof.values)}, [])
+    return CommandResult("ok", {"n": prof.n, "values": list(prof.values)})
 
 
 def _cmd_check(args):
     eta = jsonio.two_form_from_json(_read_json(args.infile))
     got = check_class(eta)
     if got is None:
-        return CommandResult("negative", {"class": None}, ["profile does not certify"])
+        return CommandResult("negative", {"class": None})
     u, d = got
     payload = {"u": u, "d": d}
     try:
@@ -122,7 +113,7 @@ def _cmd_check(args):
         payload["mod_L"] = {"congruence_ok": mod.congruence_ok, "qr_ok": mod.qr_ok}
     except NotPrimitiveModL:
         payload["mod_L"] = None
-    return CommandResult("ok", payload, [])
+    return CommandResult("ok", payload)
 
 
 def _cmd_norm(args):
@@ -130,12 +121,12 @@ def _cmd_norm(args):
     norm = norm_from_class(eta, args.u, args.d) if args.u and args.d else norm_from_class(eta)
     payload = jsonio.norm_to_json(norm)
     payload["certificate"] = polynomial_certificate(norm)
-    return CommandResult("ok", payload, [])
+    return CommandResult("ok", payload)
 
 
 def _cmd_analyze(args):
     eta = jsonio.two_form_from_json(_read_json(args.infile))
-    return CommandResult("ok", jsonio.report_to_json(analyze(eta)), [])
+    return CommandResult("ok", jsonio.report_to_json(analyze(eta)))
 
 
 def _load_tau(args):
@@ -158,30 +149,18 @@ def _cmd_analytic(args):
         "vanishes": vanishes,
         "residual": jsonio.complex_matrix_to_json(residual, tau.backend),
     }
-    return CommandResult("ok" if vanishes else "negative", payload, [])
+    return CommandResult("ok" if vanishes else "negative", payload)
 
 
 def _cmd_relations(args):
     eta = jsonio.two_form_from_json(_read_json(args.infile))
-    return CommandResult("ok", jsonio.relation_set_to_json(symbolic_relations(eta)), [])
+    return CommandResult("ok", jsonio.relation_set_to_json(symbolic_relations(eta)))
 
 
 def _cmd_glue(args):
-    obj = _read_json(args.infile)
-    u = int(obj["u"])
-    divisors = tuple(int(x) for x in obj["type"])
-    tau_x = jsonio.period_matrix_from_json(obj["tauX"])
-    tau_y = jsonio.period_matrix_from_json(obj["tauY"])
-    n = tau_x.n + tau_y.n
-    x_factor = PolarizedFactor(u, divisors, tau_x)
-    y_factor = PolarizedFactor(n - u, complementary_type(n, u, divisors), tau_y)
-    spec = GluingSpec(
-        tuple(tuple(int(v) for v in row) for row in obj["f"]),
-        tuple(tuple(int(v) for v in row) for row in obj["g"]),
-    )
-    tau, eta = glue(x_factor, y_factor, spec)
+    tau, eta = glue(*jsonio.gluing_from_json(_read_json(args.infile)))
     payload = {"tau": jsonio.period_matrix_to_json(tau), "eta": jsonio.two_form_to_json(eta)}
-    return CommandResult("ok", payload, [])
+    return CommandResult("ok", payload)
 
 
 def _cmd_witness(args):
@@ -193,12 +172,12 @@ def _cmd_witness(args):
             "tag": result.tag,
             "tau": jsonio.period_matrix_to_json(result.tau) if result.tau else None,
         }
-        return CommandResult("ok" if result else "negative", payload, [])
+        return CommandResult("ok" if result else "negative", payload)
     if not (args.n and args.u and args.type_divisors):
         raise RangeError("witness needs --in, or --n --u --type")
     tau, eta = standard_witness(args.n, args.u, _parse_type(args.type_divisors))
     payload = {"tau": jsonio.period_matrix_to_json(tau), "eta": jsonio.two_form_to_json(eta)}
-    return CommandResult("ok", payload, [])
+    return CommandResult("ok", payload)
 
 
 def _cmd_scan(args):
@@ -208,17 +187,12 @@ def _cmd_scan(args):
         raise RangeError("scan needs --u --d --bound")
     tau = _load_tau(args)
     reports = scan_ppav(tau, args.u, args.d, args.bound, tol=args.tol, jobs=args.jobs)
-    return CommandResult("ok", {"classes": [jsonio.report_to_json(r) for r in reports]}, [])
+    return CommandResult("ok", {"classes": [jsonio.report_to_json(r) for r in reports]})
 
 
 def _cmd_enum(args):
     if args.infile:
-        obj = _read_json(args.infile)
-        spec = EnumerationSpec(
-            int(obj["n"]), int(obj["u"]), int(obj["d"]), int(obj["bound"]),
-            require_idempotent=bool(obj.get("require_idempotent", False)),
-            require_type=tuple(obj["require_type"]) if obj.get("require_type") else None,
-        )
+        spec = jsonio.enumeration_spec_from_json(_read_json(args.infile))
     else:
         if args.n is None or args.u is None or args.d is None or args.bound is None:
             raise RangeError("enum needs --in, or --n --u --d --bound")
@@ -227,7 +201,7 @@ def _cmd_enum(args):
         classes = _enum_parallel(spec, args.jobs)
     else:
         classes = enumerate_classes(spec)
-    return CommandResult("ok", {"classes": [jsonio.two_form_to_json(e) for e in classes]}, [])
+    return CommandResult("ok", {"classes": [jsonio.two_form_to_json(e) for e in classes]})
 
 
 def _enum_block(payload):
@@ -244,43 +218,29 @@ def _enum_parallel(spec, jobs):
 
 
 def _cmd_humbert(args):
-    obj = _read_json(args.infile)
-    if "a" in obj and "b" in obj:
-        datum = jsonio.singular_from_json(obj)
-        eta = eta_from_singular(datum)
+    doc = jsonio.humbert_from_json(_read_json(args.infile))
+    if isinstance(doc, SingularDatum):
+        eta = eta_from_singular(doc)
         payload = {
-            "datum": jsonio.singular_to_json(datum),
+            "datum": jsonio.singular_to_json(doc),
             "eta": jsonio.two_form_to_json(eta),
-            "relation": jsonio.relation_set_to_json(humbert_relation(datum)),
-            "locus": jsonio.relation_set_to_json(symbolic_relations(eta)),
+            "relation": jsonio.relation_set_to_json(humbert_relation(doc)),
         }
-        return CommandResult("ok", payload, [])
-    eta = jsonio.two_form_from_json(obj)
-    datum = singular_from_eta(eta)
-    payload = {
-        "datum": jsonio.singular_to_json(datum),
-        "locus": jsonio.relation_set_to_json(symbolic_relations(eta)),
-    }
-    return CommandResult("ok", payload, [])
+    else:
+        eta, payload = doc, {"datum": jsonio.singular_to_json(singular_from_eta(doc))}
+    payload["locus"] = jsonio.relation_set_to_json(symbolic_relations(eta))
+    return CommandResult("ok", payload)
 
 
 def _cmd_act(args):
-    obj = _read_json(args.infile)
-    if "eta" in obj:
-        eta = jsonio.two_form_from_json(obj["eta"])
-        s_rows = obj.get("S")
-    else:
-        eta = jsonio.two_form_from_json(obj)
-        s_rows = None
-    if s_rows is None and args.sfile:
-        s_rows = _read_json(args.sfile)["S"]
-    if s_rows is not None:
-        s_mat = [[int(v) for v in row] for row in s_rows]
-    else:
+    eta, s_mat = jsonio.act_from_json(_read_json(args.infile))
+    if s_mat is None and args.sfile:
+        s_mat = jsonio.act_matrix_from_json(_read_json(args.sfile))
+    if s_mat is None:
         s_mat = [list(r) for r in
                  random_symplectic(eta.n, args.seed, args.word_length).mat]
     moved = act(s_mat, eta)
-    return CommandResult("ok", {"eta": jsonio.two_form_to_json(moved), "S": s_mat}, [])
+    return CommandResult("ok", {"eta": jsonio.two_form_to_json(moved), "S": s_mat})
 
 
 _COMMANDS = {
@@ -307,15 +267,12 @@ def _run(argv):
     except SystemExit as exc:
         if exc.code == 0:  # --help and friends
             raise
-        return CommandResult("error", {"error": {"code": "Usage", "message": "bad arguments"}}, []), None
+        return CommandResult("error", {"error": {"code": "Usage", "message": "bad arguments"}}), None
     try:
         result = _COMMANDS[args.command](args)
-    except NsforgeError as exc:
-        result = CommandResult("error", {"error": {"code": exc.code, "message": str(exc)}}, [])
     except Exception as exc:  # malformed input must not escape as a traceback
-        result = CommandResult(
-            "error",
-            {"error": {"code": type(exc).__name__, "message": str(exc)}}, [])
+        code = exc.code if isinstance(exc, NsforgeError) else type(exc).__name__
+        result = CommandResult("error", {"error": {"code": code, "message": str(exc)}})
     return result, args.outfile
 
 

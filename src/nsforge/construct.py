@@ -3,13 +3,14 @@
 Two polarized factors of complementary types are glued along the graph of an
 anti-symplectic identification of their torsion groups; the product form
 descends to a principal one on the glued lattice.  Everything is exact and
-solved over Z: the period matrix by fraction-free elimination on the real
-form of its complex system, and the round trip through the class machinery
-is verified before returning.
+over Z: the period matrix is solved by fraction-free elimination on the real
+form of its complex system, the class of the first factor is the pullback
+of its block of the product form, and the round trip through the class
+machinery is verified before returning.
 """
 
 from dataclasses import dataclass
-from math import lcm
+from math import prod
 
 from . import _intlinalg as la
 from ._gaussian import QQi
@@ -22,8 +23,8 @@ from .errors import (
     SizeMismatch,
     TypeMismatch,
 )
-from .exterior import check_class, is_primitive, theta
-from .normend import _image_type, class_from_norm, norm_from_class
+from .exterior import TwoForm, check_class, is_primitive, theta
+from .normend import _image_type, norm_from_class
 from .riemann import EXACT, PeriodMatrix, _int_parts, _normalized_periods, wedge_vanishes
 from .symplectic import frobenius_basis, gram_matrix
 
@@ -96,14 +97,15 @@ def _well_defined(h, moduli):
 def check_kd_symplectic(h, divisors):
     """True iff h is a well-defined pairing-preserving map of K(D).
 
-    With L = lcm(D), L times the torsion pairing is the integer Gram G of the
-    type L / D, and h preserves the pairing iff h^T G h = G mod L.
+    With L the last divisor of D (the lcm of the chain), L times the torsion
+    pairing is the integer Gram G of the type L / D, and h preserves the
+    pairing iff h^T G h = G mod L.
     """
     PolarizationType(tuple(divisors))
     h = [list(r) for r in h]
     if not _well_defined(h, _torsion_moduli(divisors)):
         return False
-    scale = lcm(*divisors)
+    scale = divisors[-1]
     g = _type_gram([scale // d for d in divisors])
     moved = la.mat_mul(la.mat_mul(la.transpose(h), g), h)
     return all((x - y) % scale == 0 for rows in zip(moved, g) for x, y in zip(*rows))
@@ -190,9 +192,10 @@ def glue(x_factor, y_factor, spec):
     """Glue two polarized factors along their torsion graph.
 
     Returns (tau, eta): the period matrix of the glued principally polarized
-    variety and the class of the embedded first factor.  The class is
-    re-certified (profile, norm, type) and the vanishing condition checked
-    exactly before returning.
+    variety and the class of the embedded first factor X.  With d the
+    exponent, the class is E(d pi_X ., .), the product form's X block pulled
+    back to the glued basis and scaled by d.  It is re-certified (profile,
+    norm, type) and the vanishing condition checked exactly before returning.
     """
     u = x_factor.dim
     v = y_factor.dim
@@ -211,61 +214,44 @@ def glue(x_factor, y_factor, spec):
         raise TypeMismatch("markings must preserve the torsion pairing")
 
     moduli = _torsion_moduli(d_list)
-    scale = lcm(*d_list) if d_list else 1
+    d = d_list[-1]  # the exponent: the lcm of a divisor chain is its last divisor
     m2n = 2 * n
     # columns: 2n scaled unit vectors plus the scaled graph lifts
-    cols = [[scale if r == c else 0 for r in range(m2n)] for c in range(m2n)]
+    cols = [[d if r == c else 0 for r in range(m2n)] for c in range(m2n)]
     for j in range(2 * u):
         if moduli[j] == 1:
             continue
-        t = [1 if i == j else 0 for i in range(2 * u)]
-        s = [val % moduli[i] for i, val in enumerate(la.mat_vec(f, t))]
-        s = _swap_halves(s)
+        s = _swap_halves([f[i][j] % moduli[i] for i in range(2 * u)])  # f on generator j
         phi = _solve_torsion(g, moduli, s)
         assert phi is not None, "internal: validated marking is not invertible"
         w = [0] * m2n
-        dj = moduli[j]
         # X-side lift: the torsion slot j sits over the same lattice slot
-        w[j] = scale // dj
+        w[j] = d // moduli[j]
         # Y-side lift of phi over the nontrivial slots of the padded type
         for i in range(u):
             di = d_list[i]
             if phi[i] % di:
-                w[2 * u + (v - u) + i] = (phi[i] % di) * (scale // di)
+                w[2 * u + (v - u) + i] = (phi[i] % di) * (d // di)
             if phi[u + i] % di:
-                w[2 * u + v + (v - u) + i] = (phi[u + i] % di) * (scale // di)
+                w[2 * u + v + (v - u) + i] = (phi[u + i] % di) * (d // di)
         cols.append(w)
     basis = la.lattice_basis(cols)
     assert len(basis) == m2n, "internal: glued lattice is not full rank"
-    b_int = la.transpose(basis)  # columns scaled by `scale`
+    b_int = la.transpose(basis)  # columns scaled by d
 
-    gram0 = la.zeros(m2n, m2n)
-    gx = _type_gram(d_list)
-    gy = _type_gram(y_factor.divisors)
-    for i in range(2 * u):
-        for j in range(2 * u):
-            gram0[i][j] = gx[i][j]
-    for i in range(2 * v):
-        for j in range(2 * v):
-            gram0[2 * u + i][2 * u + j] = gy[i][j]
-    raw = la.mat_mul(la.mat_mul(la.transpose(b_int), gram0), b_int)
-    s2 = scale * scale
-    gram_a = la.zeros(m2n, m2n)
-    for i in range(m2n):
-        for j in range(m2n):
-            q, r = divmod(raw[i][j], s2)
-            if r:
-                raise NotPrincipal("graph lifts are not isotropic for the product form")
-            gram_a[i][j] = q
+    gram_x = _type_gram(d_list)
+    product = ([row + [0] * (2 * v) for row in gram_x]
+               + [[0] * (2 * u) + row for row in _type_gram(y_factor.divisors)])
+    raw = la.mat_mul(la.mat_mul(la.transpose(b_int), product), b_int)
+    if any(x % (d * d) for row in raw for x in row):
+        raise NotPrincipal("graph lifts are not isotropic for the product form")
+    gram_a = [[x // (d * d) for x in row] for row in raw]
     # index of the glued lattice over the product lattice
-    prod = 1
-    for d in d_list:
-        prod *= d
-    det_b = abs(la.det_bareiss(b_int))
-    assert det_b * prod * prod == scale ** m2n, "internal: glued index mismatch"
+    index = abs(la.det_bareiss(b_int)) * prod(d_list) ** 2
+    assert index == d ** m2n, "internal: glued index mismatch"
 
     frame = frobenius_basis(gram_a)
-    if any(d != 1 for d in frame.divisors):
+    if any(x != 1 for x in frame.divisors):
         raise NotPrincipal(f"descended form has type {frame.divisors}")
     w_cols = _frame_columns(la.identity(m2n), frame)  # W^T gram_a W = [[0, -I], [I, 0]]
     c_num = la.mat_mul(b_int, la.transpose(w_cols))
@@ -279,21 +265,16 @@ def glue(x_factor, y_factor, spec):
         c_num = la.mat_mul(b_int, la.transpose(flipped))
         tau = _tau_from_basis(p_complex, c_num)
 
-    d_exp = d_list[-1]
-    rho0 = la.zeros(m2n, m2n)
-    for i in range(2 * u):
-        rho0[i][i] = d_exp
-    det, rho_cols = la.solve_bareiss(c_num, la.transpose(la.mat_mul(rho0, c_num)))
-    rho = la.zeros(m2n, m2n)
-    for c in range(m2n):
-        for r in range(m2n):
-            rho[r][c], rem = divmod(rho_cols[c][r], det)
-            assert not rem, "internal: norm matrix is not integral"
-    eta = class_from_norm(rho)
+    # the class E(d pi_X ., .) of X: d C^T diag(G_X, 0) C for the basis C = c_num / d,
+    # where only the X rows of C meet the block G_X
+    x_rows = c_num[:2 * u]
+    num = la.mat_mul(la.mat_mul(la.transpose(x_rows), gram_x), x_rows)
+    assert not any(x % d for row in num for x in row), "internal: glued class is not integral"
+    eta = TwoForm.from_matrix(n, [[x // d for x in row] for row in num])
 
     norm = norm_from_class(eta)
     got = (norm.u, norm.d, _image_type(norm)[1].divisors)
-    assert got == (u, d_exp, tuple(d_list)), f"internal: glued class certifies as {got}"
+    assert got == (u, d, tuple(d_list)), f"internal: glued class certifies as {got}"
     assert wedge_vanishes(eta, tau), "internal: glued class fails the vanishing test"
     return tau, eta
 

@@ -8,18 +8,19 @@ residual R = P M P^T with P = (I | -tau), the restriction to the kernel of
 (tau | I), is zero.  As a map of the coefficients of eta, R has the 2 x 2
 minors of P as coefficients, and every vanishing question reads them:
 exact decisions test q^2 R over the integers, as the congruence by the
-integer period block of q P; the float test and the float scan bound each
-entry by the minors of P in binary64; the symbolic relations are the same
-minors over Z[tau].  The exact tangent, the Moebius action and the
-positive-definiteness test run on the integer parts of q tau too.  The
-wedge expansion is the test reference (``tests/oracle.py``).  Both
-backends of ``scan_ppav`` search with ``scan._walk``.
+integer period block of q P; the float test and the float scan take each
+entry from the minors of P in binary64 and bound it by tol times the size
+of its terms; the symbolic relations are the same minors over Z[tau].
+The exact tangent, the Moebius action and the positive-definiteness test
+run on the integer parts of q tau too.  The wedge expansion is the test
+reference (``tests/oracle.py``).  Both backends of ``scan_ppav`` search
+with ``scan._walk``.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import inf, isfinite, lcm
 
 from . import _intlinalg as la
 from . import scan
@@ -80,11 +81,6 @@ class PeriodMatrix:
 
     def entry(self, i, j):
         return self.rows[i][j]
-
-    def max_abs(self):
-        if self.backend == EXACT:
-            return max(max(abs(e.re), abs(e.im)) for row in self.rows for e in row)
-        return max(abs(e) for row in self.rows for e in row)
 
     def to_float(self):
         if self.backend == FLOAT:
@@ -147,34 +143,37 @@ def wedge_vanishes(eta, tau, tol=DEFAULT_TOL):
     """Test of the holomorphic vanishing condition eta ^ dz_1 ^ ... ^ dz_n = 0.
 
     Exact backend: every integer entry of q^2 R is zero (``residual_matrix``).
-    Float backend: every strictly-upper entry of R, the minors of P applied to
-    the coefficients of eta (``_float_rows``), is within tol * (1 + max |tau_kl|)^2.
+    Float backend: every strictly-upper entry of R, the minors m of P applied
+    to the coefficients a of eta (``_float_rows``), is within tol * sum |a m|,
+    the size of its own terms.
     """
     _check_tol(tol)
     if tau.backend == EXACT:
         return _exact_vanishes(eta, tau)
     if eta.n != tau.n:
         raise DimensionMismatch("form and period matrix sizes differ")
-    return _within(_float_rows(tau), eta.coefficient_vector(), _float_limit(tau, tol))
+    return _within(_float_rows(tau), eta.coefficient_vector(), tol)
 
 
-def _float_limit(tau, tol):
-    """The float zero limit tol * (1 + max |tau_kl|)^2 on each residual entry."""
+def _within(rows, vec, tol):
+    """Every residual entry row . vec is within tol times the sum of its terms' sizes.
+
+    A NaN entry never is; an entry whose terms overflow binary64 is a RangeError.
+    """
     try:
-        return tol * (1 + tau.max_abs()) ** 2
+        for row in rows:
+            acc, size = 0j, 0.0
+            for coef, a in zip(row, vec):
+                if a:
+                    term = a * coef
+                    acc += term
+                    size += abs(term)
+            if size == inf:
+                raise OverflowError
+            if not abs(acc) <= tol * size:
+                return False
     except OverflowError:
-        raise RangeError("period matrix entries too large to scale the float tolerance") from None
-
-
-def _within(rows, vec, limit):
-    """Every residual entry row . vec is within the limit; a NaN entry never is."""
-    for row in rows:
-        acc = 0j
-        for coef, a in zip(row, vec):
-            if a:
-                acc += a * coef
-        if not abs(acc) <= limit:
-            return False
+        raise RangeError("residual terms too large to scale the float tolerance") from None
     return True
 
 
@@ -447,18 +446,24 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
 
 
 def _float_scan_vectors(tau, u, d, bound, tol, jobs):
-    """Certified (u, d) coefficient vectors whose float residual entries are within the limit."""
-    rows, limit = _float_rows(tau), _float_limit(tau, tol)
+    """Certified (u, d) coefficient vectors whose float residual entries are within tolerance."""
+    rows = _float_rows(tau)
     walked = _map_first_entries(_walk_block, (tau.n, u, d, bound, True, None), bound, jobs)
-    return [vec for vec in walked if _within(rows, vec, limit)]
+    return [vec for vec in walked if _within(rows, vec, tol)]
 
 
 def _float_rows(tau):
-    """The float residual map: row (k, l) holds the minors of rows k, l of P = (I | -tau)."""
+    """The float residual map: row (k, l) holds the minors of rows k, l of P = (I | -tau).
+
+    A minor that overflows binary64 is a RangeError: no tolerance decides against it.
+    """
     n = tau.n
     pairs = _pairs(n)
     p = [[complex(i == k) for i in range(n)] + [-e for e in row] for k, row in enumerate(tau.rows)]
-    return [_minors(p, k, l, pairs) for k in range(n) for l in range(k + 1, n)]
+    rows = [_minors(p, k, l, pairs) for k in range(n) for l in range(k + 1, n)]
+    if not all(cmath.isfinite(m) for row in rows for m in row):
+        raise RangeError("period matrix entries too large to scale the float tolerance")
+    return rows
 
 
 def moebius(s, tau):

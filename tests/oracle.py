@@ -11,8 +11,9 @@ the reference searches are the plain walker,
 the full-box float scan and the trace-coset exact scan that the search
 paths are checked against; the reference solves at the end are the Gaussian-rational
 and Fraction versions of the period-matrix solves, the tangent rank, the
-torsion pairing and the positive-definiteness test, and the witness of
-``is_realizable`` derived from the full report.
+torsion pairing and the positive-definiteness test, the glued class from
+its norm matrix, and the witness of ``is_realizable`` derived from the full
+report.
 """
 
 
@@ -177,8 +178,13 @@ def reference_wedge_vanishes(eta, tau, tol=1e-9):
     coeffs = reference_wedge_coefficients(eta, tau)
     if tau.backend == "exact":
         return not coeffs
-    limit = tol * (1 + tau.max_abs()) ** 2
+    limit = reference_float_limit(tau, tol)
     return all(abs(v) <= limit for v in coeffs.values())
+
+
+def reference_float_limit(tau, tol):
+    """The zero limit tol * (1 + max |tau_kl|)^2 of the reference float decisions."""
+    return tol * (1 + max(abs(e) for row in tau.rows for e in row)) ** 2
 
 
 # ------------------------------------------------------------------------
@@ -313,7 +319,7 @@ def reference_float_scan(tau, u, d, bound, tol):
 
     n = tau.n
     pairs, rows = reference_residual_rows(tau)
-    limit = tol * (1 + tau.max_abs()) ** 2
+    limit = reference_float_limit(tau, tol)
     reports = []
     for vec in itertools.product(range(-bound, bound + 1), repeat=len(pairs)):
         if not any(vec):
@@ -449,6 +455,25 @@ def reference_tau_from_basis(p_complex, c_num):
     except ZeroDivisionError:
         raise NotInSiegel("internal: degenerate half-basis") from None
     return PeriodMatrix.exact(la.transpose(tau_cols))
+
+
+def reference_glued_class(c_num, u, d):
+    """The class of the first factor of a gluing, from its norm matrix.
+
+    ``c_num`` holds integer multiples of the glued basis C in product
+    coordinates (the scale cancels).  The norm endomorphism d pi_X of the
+    first factor is diag(d I_2u, 0) on the product, so its matrix on the
+    glued lattice is rho = C^-1 diag(d I_2u, 0) C, solved over Q, and
+    ``class_from_norm`` inverts the norm construction.
+    """
+    from nsforge import _intlinalg as la
+    from nsforge.normend import class_from_norm
+
+    m = len(c_num)
+    rho0 = [[d if i == j < 2 * u else 0 for j in range(m)] for i in range(m)]
+    rho = la.transpose(la.solve_fraction(la.frac_mat(c_num), la.transpose(la.mat_mul(rho0, c_num))))
+    assert all(x.denominator == 1 for row in rho for x in row), "norm matrix is not integral"
+    return class_from_norm([[int(x) for x in row] for row in rho])
 
 
 def reference_moebius(s, tau):

@@ -146,6 +146,38 @@ def test_constructions_match_the_reference(checked_tau_from_basis):
     assert len(checked_tau_from_basis) == 2 * len(WITNESS_GRID) + 3 * len(GLUE_CONFIGS)
 
 
+def test_glued_class_matches_the_norm_solve(checked_tau_from_basis):
+    """The class read off the product form is the one the norm matrix C^-1 diag(d I, 0) C gives."""
+    rng = random.Random(19)
+    for n, u, typ in WITNESS_GRID:
+        _, eta = standard_witness(n, u, typ)
+        assert eta == oracle.reference_glued_class(checked_tau_from_basis[-1], u, typ[-1])
+    for _ in range(3):
+        for u, typ, (_, eta) in glue_grid(rng):
+            assert eta == oracle.reference_glued_class(checked_tau_from_basis[-1], u, typ[-1])
+
+
+def test_glue_solves_only_for_the_period_matrix(monkeypatch):
+    """One ``la.solve_bareiss`` per ``_tau_from_basis`` attempt: the class takes no solve."""
+    counts = {"solve": 0, "attempt": 0}
+    solve, tau_from_basis = la.solve_bareiss, construct._tau_from_basis
+
+    def counted(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(la, "solve_bareiss", counted("solve", solve))
+    monkeypatch.setattr(construct, "_tau_from_basis", counted("attempt", tau_from_basis))
+    rng = random.Random(23)
+    calls = [lambda cfg=cfg: standard_witness(*cfg) for cfg in WITNESS_GRID[1:]]
+    calls += [lambda: list(glue_grid(rng))]
+    for call in calls:
+        call()
+        assert counts["solve"] == counts["attempt"] > 0
+
+
 def test_moebius_and_tangent_on_conjugates():
     rng = random.Random(11)
     points = [(u, standard_witness(n, u, typ)) for n, u, typ in WITNESS_GRID]
