@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import jsonio
 from .construct import glue, is_realizable, standard_witness
-from .errors import NotPrimitiveModL, NsforgeError, RangeError
+from .errors import DimensionMismatch, NotPrimitiveModL, NsforgeError, RangeError
 from .exterior import check_class, check_class_mod_L, intersection_profile
 from .humbert import SingularDatum, eta_from_singular, humbert_relation, singular_from_eta
 from .normend import analyze, norm_from_class, polynomial_certificate
@@ -41,10 +41,15 @@ class CommandResult:
 def _read_json(path):
     if path is None:  # stdin only when asked for, so a missing --in never blocks
         raise RangeError("missing --in (use '--in -' to read stdin)")
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:  # missing, a directory, no permission
+        raise RangeError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad syntax, non-UTF-8 bytes, deep nesting
+        raise DimensionMismatch(f"{path} is not a JSON document: {exc}") from None
 
 
 def _parse_type(text):

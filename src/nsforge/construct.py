@@ -3,19 +3,18 @@
 Two polarized factors of complementary types are glued along the graph of an
 anti-symplectic identification of their torsion groups; the product form
 descends to a principal one on the glued lattice.  Everything is exact and
-over Z: the period matrix is solved by fraction-free elimination on the real
-form of its complex system, the class of the first factor is the pullback
-of its block of the product form, and the round trip through the class
-machinery is verified before returning.
+over Z: ``riemann._normalized_periods`` solves the period matrix from the
+factors' integer period blocks in one fraction-free elimination, the class
+of the first factor is the pullback of its block of the product form, and
+the round trip through the class machinery is verified before returning.
 """
 
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 
 from . import _intlinalg as la
 from ._gaussian import QQi
 from .errors import (
-    NotInSiegel,
     NotPrimitive,
     NotPrincipal,
     NsforgeError,
@@ -149,43 +148,35 @@ def _frame_columns(cols, frame):
 
 def _square_periods(k):
     """The k x k period matrix i I."""
-    return PeriodMatrix.exact([[QQi(0, 1) if i == j else QQi(0) for j in range(k)]
-                               for i in range(k)])
+    return PeriodMatrix.exact([[QQi(0, int(i == j)) for j in range(k)] for i in range(k)])
 
 
 def _complex_period_block(factors):
-    """The block-diagonal n x 2n complex matrix of the factors' blocks (tau | diag(D))."""
+    """Re and Im of q P, P the block diagonal of the (tau_f | diag(D_f)), q the lcm of the q_f."""
     n = sum(f.dim for f in factors)
-    out = [[QQi(0)] * (2 * n) for _ in range(n)]
+    parts = [_int_parts(f.tau.rows) for f in factors]
+    q = lcm(*(p[0] for p in parts))
+    re, im = la.zeros(n, 2 * n), la.zeros(n, 2 * n)
     row = 0
-    for f in factors:
-        k = f.dim
+    for f, (q_f, re_f, im_f) in zip(factors, parts):
+        k, scale = f.dim, q // q_f
         for i in range(k):
-            for j in range(k):
-                out[row + i][2 * row + j] = f.tau.rows[i][j]
-            out[row + i][2 * row + k + i] = QQi(f.divisors[i])
+            re[row + i][2 * row:2 * row + k] = [scale * x for x in re_f[i]]
+            im[row + i][2 * row:2 * row + k] = [scale * x for x in im_f[i]]
+            re[row + i][2 * row + k + i] = q * f.divisors[i]
         row += k
-    return out
+    return re, im
 
 
-def _tau_from_basis(p_complex, c_num):
+def _tau_from_basis(p_parts, c_num):
     """Read the period matrix off a symplectic basis in complex coordinates.
 
-    ``c_num`` holds integer multiples of the basis columns; the common scale
-    cancels in the normalization, so it never needs to be tracked, and so
-    does the denominator q of P.  With q Z = q P C split into halves (E | F),
-    the period matrix solves F tau = E, over Z in its real form.
+    ``p_parts`` are Re and Im of q P for the factor periods P, and ``c_num``
+    holds integer multiples of the basis columns; both scales cancel in the
+    normalization, so neither is tracked.  With q P C split into halves
+    (E | F), the period matrix solves F tau = E, over Z in its real form.
     """
-    n = len(p_complex)
-    z = [la.mat_mul(part, c_num) for part in _int_parts(p_complex)[1:]]  # Re, Im of q Z
-    try:
-        tau = _normalized_periods(*z)
-    except ZeroDivisionError:
-        raise NotInSiegel("internal: degenerate half-basis") from None
-    for i in range(n):
-        for j in range(n):
-            assert tau[i][j] == tau[j][i], "internal: glued period matrix not symmetric"
-    return PeriodMatrix.exact(tau)
+    return _normalized_periods(*(la.mat_mul(part, c_num) for part in p_parts))
 
 
 def glue(x_factor, y_factor, spec):
@@ -253,17 +244,10 @@ def glue(x_factor, y_factor, spec):
     frame = frobenius_basis(gram_a)
     if any(x != 1 for x in frame.divisors):
         raise NotPrincipal(f"descended form has type {frame.divisors}")
-    w_cols = _frame_columns(la.identity(m2n), frame)  # W^T gram_a W = [[0, -I], [I, 0]]
-    c_num = la.mat_mul(b_int, la.transpose(w_cols))
-
-    p_complex = _complex_period_block([x_factor, y_factor])
-    try:
-        tau = _tau_from_basis(p_complex, c_num)
-    except NotInSiegel:
-        # orientation fallback: (e, -f) is also a valid basis for the pairing
-        flipped = w_cols[n:] + [[-x for x in col] for col in w_cols[:n]]
-        c_num = la.mat_mul(b_int, la.transpose(flipped))
-        tau = _tau_from_basis(p_complex, c_num)
+    # the glued basis B W with W^T gram_a W = [[0, -I], [I, 0]], the factors' sign
+    # convention, which the Riemann relations put in the Siegel space
+    c_num = la.transpose(_frame_columns(basis, frame))
+    tau = _tau_from_basis(_complex_period_block([x_factor, y_factor]), c_num)
 
     # the class E(d pi_X ., .) of X: d C^T diag(G_X, 0) C for the basis C = c_num / d,
     # where only the X rows of C meet the block G_X
@@ -330,10 +314,10 @@ def is_realizable(eta):
 
     # image and kernel as the factors (i I | diag(D)) of type D under -J, in their (f | e) frames
     full = la.transpose([col for cols, f in frames for col in _frame_columns(cols, f)])
-    p_complex = _complex_period_block(
+    p_parts = _complex_period_block(
         [PolarizedFactor(len(f.divisors), f.divisors, _square_periods(len(f.divisors)))
          for _, f in frames])
     # express the standard basis in factor coordinates: the adjugate of ``full``, up to scale
-    tau = _tau_from_basis(p_complex, la.transpose(la.solve_bareiss(full, la.identity(2 * n))[1]))
+    tau = _tau_from_basis(p_parts, la.transpose(la.solve_bareiss(full, la.identity(2 * n))[1]))
     assert wedge_vanishes(eta, tau), "internal: witness fails the vanishing test"
     return RealizabilityResult(tau, "ok")

@@ -12,9 +12,11 @@ integer period block of q P; the float test and the float scan take each
 entry from the minors of P in binary64 and bound it by tol times the size
 of its terms; the symbolic relations are the same minors over Z[tau].
 The exact tangent, the Moebius action and the positive-definiteness test
-run on the integer parts of q tau too.  The wedge expansion is the test
-reference (``tests/oracle.py``).  Both backends of ``scan_ppav`` search
-with ``scan._walk``.
+run on the integer parts of q tau too.  Every solved exact tau (``moebius``,
+``glue``, ``is_realizable``) is one integer Cramer solve of F X = E for an
+integer period block (E | F), in ``_normalized_periods``.  The wedge
+expansion is the test reference (``tests/oracle.py``).  Both backends of
+``scan_ppav`` search with ``scan._walk``.
 """
 
 import cmath
@@ -217,15 +219,16 @@ def _real_form(re, im):
 
 
 def _normalized_periods(z_re, z_im):
-    """The X with F X = E for an integer complex n x 2n matrix Z = (E | F), as rows of QQi.
+    """The period matrix X with F X = E for an integer complex n x 2n matrix Z = (E | F).
 
-    One ``la.solve_bareiss`` of the real form of F: each entry is a Cramer
-    numerator over det.  A singular F raises ZeroDivisionError.
+    One ``la.solve_bareiss`` of the real form of F: each entry is a Cramer numerator
+    over det.  A singular F raises ZeroDivisionError, an X off the Siegel space NotInSiegel.
     """
     n = len(z_re)
     f = _real_form([r[n:] for r in z_re], [r[n:] for r in z_im])
     det, cols = la.solve_bareiss(f, list(zip(*(r[:n] for r in z_re + z_im))))
-    return [[QQi(Fraction(c[k], det), Fraction(c[n + k], det)) for c in cols] for k in range(n)]
+    return PeriodMatrix.exact([[QQi(Fraction(c[k], det), Fraction(c[n + k], det)) for c in cols]
+                               for k in range(n)])
 
 
 def _minors(p, r, s, pairs):
@@ -480,10 +483,9 @@ def moebius(s, tau):
         raise DimensionMismatch("matrix size does not match the period matrix")
     if not is_symplectic(mat):
         raise NotAlternating("matrix is not symplectic")
-    # with tau = (A + iB) / q, q (num; den) = S (A; qI) + i S (B; 0), and
-    # num den^{-1} is the transpose of X solving den^T X = num^T
+    # with tau = (A + iB) / q, q (num; den) = S (A; qI) + i S (B; 0), and the
+    # X solving den^T X = num^T is (num den^{-1})^T, which is symmetric
     q, re, im = _int_parts(tau.rows)
     parts = (re + la.mat_scale(q, la.identity(n)), im + la.zeros(n, n))
-    z = [la.transpose(la.mat_mul(mat, part)) for part in parts]  # Re, Im of (num^T | den^T)
-    return PeriodMatrix.exact(la.transpose(_normalized_periods(*z)))
+    return _normalized_periods(*(la.transpose(la.mat_mul(mat, part)) for part in parts))
 

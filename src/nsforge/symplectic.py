@@ -65,10 +65,12 @@ def is_symplectic(s):
 
 
 def act(s, eta):
-    """Push a 2-form forward: the matrix transforms as S M S^T."""
+    """Push a 2-form forward by a symplectic S: the matrix transforms as S M S^T."""
     mat = s.mat if isinstance(s, SymplecticMatrix) else s
     if len(mat) != 2 * eta.n:
         raise DimensionMismatch("matrix size does not match the form")
+    if not isinstance(s, SymplecticMatrix) and not is_symplectic(mat):  # checked when built
+        raise NotAlternating("matrix is not symplectic")
     m = la.mat_mul(la.mat_mul([list(r) for r in mat], [list(r) for r in eta.mat]),
                    la.transpose([list(r) for r in mat]))
     return TwoForm.from_matrix(eta.n, m)

@@ -185,6 +185,12 @@ class TestErrors:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"]["code"] == code
 
+    def test_act_refuses_a_non_symplectic_matrix(self, tmp_path):
+        eta = write_json(tmp_path, "e.json", {"n": 1, "coeffs": [{"i": 1, "j": 2, "a": 1}]})
+        s_doc = write_json(tmp_path, "s.json", {"S": [[2, 0], [0, 2]]})
+        proc = run_cli(["act", "--in", eta, "--s", s_doc])
+        self._assert_json_error(proc, "NotAlternating")
+
     def test_tau_file_holding_an_array(self, tmp_path):
         proc = run_cli(["analytic", "--in", write_json(tmp_path, "e.json", ETA0),
                         "--tau", write_json(tmp_path, "t.json", [[["0", "1"]]])])

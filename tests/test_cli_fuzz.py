@@ -1,5 +1,8 @@
 """Fuzz of the CLI's JSON inputs: every ``--in`` subcommand on generated and mutated documents.
 
+Raw bytes go to every file option (``--in``, ``--tau``, ``--s``) as well: an
+unreadable file is a RangeError and a file that is not JSON a DimensionMismatch.
+
 Whatever the document, ``cli.run`` answers with exit code 0, 1 or 2, and an
 exit 2 carries a JSON error whose code is one of the ``nsforge.errors`` codes
 or ``Usage``: no wire format error escapes as a bare Python exception.  The
@@ -142,7 +145,10 @@ def write(tmp_path_factory):
 
     def write_doc(name, doc):
         path = folder / name
-        path.write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc))
         return str(path)
     return write_doc
 
@@ -226,3 +232,66 @@ def test_separate_matrix_document_is_decoded_strictly(write):
     for s_doc in ({"T": [[1, 0], [0, 1]]}, {"S": [[1, 0], [0, True]]}, [[1, 0], [0, 1]]):
         result = cli.run(["act", "--in", eta, "--s", write("s.json", s_doc)])
         assert result.payload["error"]["code"] == "DimensionMismatch"
+
+
+KNOWN_BYTES = [json.dumps(jsonio.two_form_to_json(e)).encode() for e in KNOWN_FORMS]
+NON_DIGITS = st.integers(0, 255).filter(lambda b: not 48 <= b <= 57)
+
+
+@st.composite
+def raw_documents(draw):
+    """Arbitrary bytes, or a known document cut short or with one byte replaced.
+
+    The replacement is never a digit, so no number in the document grows.
+    """
+    kind = draw(st.sampled_from(("binary", "cut", "flip")))
+    if kind == "binary":
+        return draw(st.binary(max_size=48))
+    doc = draw(st.sampled_from(KNOWN_BYTES))
+    at = draw(st.integers(0, len(doc) - 1))
+    return doc[:at] if kind == "cut" else doc[:at] + bytes([draw(NON_DIGITS)]) + doc[at + 1:]
+
+
+RAW = "raw.json"
+
+
+def raw_argvs(write):
+    """Every file option of every subcommand, with RAW in that slot and valid documents elsewhere."""
+    eta = write("eta.json", jsonio.two_form_to_json(theta(2)))
+    return ([[command, "--in", RAW] for command in FORM_COMMANDS + ["glue", "enum"]]
+            + [["analytic", "--in", eta, "--tau", RAW],
+               ["scan", "--tau", RAW, "--u", "1", "--d", "1", "--bound", "1"],
+               ["act", "--in", eta, "--s", RAW]])
+
+
+@FUZZ
+@given(data=st.data(), raw=raw_documents())
+def test_raw_documents(write, data, raw):
+    argv = data.draw(st.sampled_from(raw_argvs(write)))
+    path = write(RAW, raw)
+    assert_contract([path if arg == RAW else arg for arg in argv])
+
+
+@pytest.mark.parametrize("contents, code", [
+    pytest.param(b'{"n": 1, "coeffs": [{"i": 1', "DimensionMismatch", id="truncated"),
+    pytest.param(b"\xff\xfe{}", "DimensionMismatch", id="not-utf8"),
+    pytest.param(b"[" * 100000, "DimensionMismatch", id="past-the-recursion-limit"),
+    pytest.param(None, "RangeError", id="missing"),
+])
+@pytest.mark.parametrize("slot", ["--in", "--tau", "--s"])
+def test_unreadable_or_unparsable_files(write, tmp_path, contents, code, slot):
+    path = tmp_path / "doc.json"
+    if contents is not None:
+        path.write_bytes(contents)
+    eta = write("eta.json", jsonio.two_form_to_json(theta(2)))
+    argv = {"--in": ["profile", "--in", str(path)],
+            "--tau": ["analytic", "--in", eta, "--tau", str(path)],
+            "--s": ["act", "--in", eta, "--s", str(path)]}[slot]
+    result = cli.run(argv)
+    assert result.exit_code == 2
+    assert result.payload["error"]["code"] == code
+
+
+def test_directory_is_unreadable(tmp_path):
+    result = cli.run(["profile", "--in", str(tmp_path)])
+    assert result.payload["error"]["code"] == "RangeError"

@@ -67,14 +67,16 @@ def checked_tau_from_basis(monkeypatch):
     original = construct._tau_from_basis
     seen = []
 
-    def checked(p_complex, c_num):
+    def checked(p_parts, c_num):
+        # the reference solves over Q(i): rebuild q P from its integer parts (q cancels)
+        p_complex = [[QQi(x, y) for x, y in zip(*rows)] for rows in zip(*p_parts)]
         try:
             expected = oracle.reference_tau_from_basis(p_complex, c_num)
         except NotInSiegel:
             with pytest.raises(NotInSiegel):
-                original(p_complex, c_num)
+                original(p_parts, c_num)
             raise
-        got = original(p_complex, c_num)
+        got = original(p_parts, c_num)
         assert got == expected
         seen.append(c_num)
         return got
@@ -158,7 +160,11 @@ def test_glued_class_matches_the_norm_solve(checked_tau_from_basis):
 
 
 def test_glue_solves_only_for_the_period_matrix(monkeypatch):
-    """One ``la.solve_bareiss`` per ``_tau_from_basis`` attempt: the class takes no solve."""
+    """Each ``glue`` or ``is_realizable`` call makes one ``_tau_from_basis`` attempt.
+
+    The attempt is one ``la.solve_bareiss``.  ``glue`` takes no other solve, since
+    the class takes none; ``is_realizable`` takes one more, the adjugate of its frame basis.
+    """
     counts = {"solve": 0, "attempt": 0}
     solve, tau_from_basis = la.solve_bareiss, construct._tau_from_basis
 
@@ -170,12 +176,18 @@ def test_glue_solves_only_for_the_period_matrix(monkeypatch):
 
     monkeypatch.setattr(la, "solve_bareiss", counted("solve", solve))
     monkeypatch.setattr(construct, "_tau_from_basis", counted("attempt", tau_from_basis))
-    rng = random.Random(23)
-    calls = [lambda cfg=cfg: standard_witness(*cfg) for cfg in WITNESS_GRID[1:]]
-    calls += [lambda: list(glue_grid(rng))]
-    for call in calls:
-        call()
-        assert counts["solve"] == counts["attempt"] > 0
+    grid = glue_grid(random.Random(23))  # one glue call per item
+    glue_calls = [lambda cfg=cfg: standard_witness(*cfg) for cfg in WITNESS_GRID[1:]]
+    glue_calls += [lambda: next(grid)] * len(GLUE_CONFIGS)
+    classes = [standard_witness(*cfg)[1] for cfg in WITNESS_GRID[1:]]
+    classes = [act(random_symplectic(eta.n, seed, 4), eta) for eta in classes for seed in (1, 2)]
+    realizable_calls = [lambda eta=eta: is_realizable(eta) for eta in classes]
+    for calls, solves in ((glue_calls, 1), (realizable_calls, 2)):
+        for call in calls:
+            before = dict(counts)
+            assert call()  # a (tau, eta) pair, or a realizable result
+            assert counts["attempt"] - before["attempt"] == 1
+            assert counts["solve"] - before["solve"] == solves
 
 
 def test_moebius_and_tangent_on_conjugates():

@@ -48,6 +48,12 @@ class TestAction:
         prod = la.mat_mul([list(r) for r in s1.mat], [list(r) for r in s2.mat])
         assert act(prod, eta0) == act(s1, act(s2, eta0))
 
+    def test_raw_matrix_must_be_symplectic(self):
+        with pytest.raises(NotAlternating):  # would scale theta by 4
+            act([[2, 0], [0, 2]], theta(1))
+        with pytest.raises(NotAlternating):  # a shear of the first half alone
+            act([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], theta(2))
+
     def test_profile_invariance(self, eta0):
         base = intersection_profile(eta0).values
         for seed in range(8):
