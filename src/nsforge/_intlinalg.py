@@ -1,8 +1,8 @@
 """Linear algebra on small dense matrices, exact by default.
 
 Matrices are lists (or tuples) of rows.  The lattice routines (Hermite form,
-kernels, ranks, Bareiss determinants and solves, characteristic
-polynomials) take Python ints; the ring-generic helpers (``mat_mul``,
+kernels, ranks, Smith invariants, Bareiss determinants and solves,
+characteristic polynomials) take Python ints; the ring-generic helpers (``mat_mul``,
 ``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_vec``) take entries of any ring that mixes
 with ints -- int, Fraction, QQi, complex, IntPoly -- and ``solve_fraction``
 works over any exact field.
@@ -11,6 +11,8 @@ below are the right tool.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from operator import mul
 
 from .errors import ZeroInput
@@ -207,6 +209,35 @@ def rank_int(a):
     return rank
 
 
+def smith_invariants(a):
+    """The nonzero invariant factors s_1 | s_2 | ... of an integer matrix, no transforms.
+
+    Pivots of least size clear their rows and columns; (gcd, lcm) pairs then chain the diagonal.
+    """
+    rows, diag = [list(r) for r in a], []
+    while entries := [(abs(x), i, j) for i, r in enumerate(rows) for j, x in enumerate(r) if x]:
+        _, i, j = min(entries)
+        prow, p = rows[i], rows[i][j]
+        for k, r in enumerate(rows):
+            if k != i and r[j]:
+                q = r[j] // p
+                rows[k] = [x - q * y for x, y in zip(r, prow)]
+        for c, x in enumerate(prow):
+            if c != j and x:
+                q = x // p
+                for r in rows:
+                    r[c] -= q * r[j]
+        if sum(map(bool, prow)) + sum(bool(r[j]) for r in rows) == 2:  # only the pivot is left
+            diag.append(abs(p))
+            del rows[i]
+            for r in rows:
+                del r[j]
+    for i, k in combinations(range(len(diag)), 2):
+        g = gcd(diag[i], diag[k])
+        diag[i], diag[k] = g, diag[i] // g * diag[k]
+    return diag
+
+
 def column_hnf(a):
     """Column-style Hermite normal form.
 
@@ -336,8 +367,6 @@ def solve_integer(a, b):
 
 
 def gcd_list(values):
-    from math import gcd
-
     g = 0
     for v in values:
         g = gcd(g, v)

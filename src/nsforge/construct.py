@@ -23,7 +23,7 @@ from .errors import (
     TypeMismatch,
 )
 from .exterior import TwoForm, check_class, is_primitive, theta
-from .normend import _image_type, norm_from_class
+from .normend import _image_type, _smith_type, norm_from_class
 from .riemann import EXACT, PeriodMatrix, _int_parts, _normalized_periods, wedge_vanishes
 from .symplectic import frobenius_basis, gram_matrix
 
@@ -257,7 +257,7 @@ def glue(x_factor, y_factor, spec):
     eta = TwoForm.from_matrix(n, [[x // d for x in row] for row in num])
 
     norm = norm_from_class(eta)
-    got = (norm.u, norm.d, _image_type(norm)[1].divisors)
+    got = (norm.u, norm.d, _smith_type(norm.mat, norm.u, norm.d))
     assert got == (u, d, tuple(d_list)), f"internal: glued class certifies as {got}"
     assert wedge_vanishes(eta, tau), "internal: glued class fails the vanishing test"
     return tau, eta

@@ -12,11 +12,11 @@ d I - N certifies d theta - eta as the (n - u, d) complement.  Callers that
 know (u, d) skip ``check_class``; ``complementary_class`` is the oracle.
 
 The norm matrix and the Frobenius frame of theta on the image
-(``_image_type``) are the whole certificate.  ``glue``, ``is_realizable``,
-``orbit_equivalent`` and typed ``enumerate_classes`` read what they need from
-those two, and ``tangent_and_lattice`` reads only the image (``_image``);
-only ``analyze`` and ``scan_ppav`` go on to ``_report``, which adds the
-kernel lattice and the complement.
+(``_image_type``) are the whole certificate.  Only ``is_realizable`` and
+``_report`` (behind ``analyze`` and ``scan_ppav``; it adds the kernel lattice
+and the complement) build the frame.  Typed ``enumerate_classes``,
+``orbit_equivalent`` and ``glue``'s check read the type off the Smith
+invariants of M (``_smith_type``); ``tangent_and_lattice`` reads ``_image``.
 """
 
 from dataclasses import dataclass
@@ -152,6 +152,18 @@ def _image_type(norm):
     if frame.divisors[-1] != norm.d:
         raise TypeExponentMismatch(f"largest divisor {frame.divisors[-1]} != exponent {norm.d}")
     return image, frame
+
+
+def _smith_type(mat, u, d):
+    """The type D of a class with verified (u, d), off the Smith invariants of M or N = J M.
+
+    They are d / D_i, each twice (see the README), and s_1 = gcd(M) suffices
+    for u = 1.  A non-primitive class has s_1 > 1 and raises, as ``_image_type`` does.
+    """
+    s = [la.gcd_list(x for row in mat for x in row)] if u == 1 else la.smith_invariants(mat)[::2]
+    if s[0] != 1:
+        raise TypeExponentMismatch(f"largest divisor {d // s[0]} != exponent {d}")
+    return tuple(d // x for x in reversed(s))
 
 
 def _report(eta, norm):

@@ -24,6 +24,8 @@ With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
 then 2u), and so fix its (u, d) profile.  The default profile-only mode
 accepts such leaves without computing a profile and runs ``check_class``
 only on the rest, since the profile alone does not imply idempotence.
+Typed mode reads the type of its certified, primitive hits off the Smith
+invariants of M (``normend._smith_type``): no norm matrix, basis or frame.
 
 The raw box grows as (2 bound + 1)^(n (2n - 1)), so ``enumerate_classes``
 and the float scan refuse one above a hard budget instead of hanging (raise
@@ -39,7 +41,7 @@ from operator import mul
 from . import _intlinalg as la
 from .errors import BudgetExceeded, RangeError
 from .exterior import TwoForm, _sub_pfaffian, check_class
-from .normend import _image_type, norm_from_class
+from .normend import _smith_type, norm_from_class
 
 
 @dataclass(frozen=True)
@@ -79,17 +81,12 @@ def _pairs(n):
     return [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
 
 
-def _matrix(n, vec):
-    """The antisymmetric 2n x 2n matrix with upper-triangle coefficient vector vec."""
+def _form(n, vec):
+    """The 2-form with upper-triangle coefficient vector vec."""
     mat = la.zeros(2 * n, 2 * n)
     for (i, j), a in zip(_pairs(n), vec):
         mat[i][j], mat[j][i] = a, -a
-    return mat
-
-
-def _form(n, vec):
-    """The 2-form with upper-triangle coefficient vector vec."""
-    return TwoForm.from_matrix(n, _matrix(n, vec))
+    return TwoForm.from_matrix(n, mat)
 
 
 def _pairing(ri, rk, n):
@@ -294,19 +291,19 @@ def enumerate_classes(spec, first_entry_values=None):
     classes = [_form(n, vec) for vec in sorted(vectors)]
     if spec.require_type is not None:
         typ = tuple(spec.require_type)
-        classes = [eta for eta in classes
-                   if _image_type(norm_from_class(eta, u, d))[1].divisors == typ]
+        classes = [eta for eta in classes if _smith_type(eta.mat, u, d) == typ]
     return classes
 
 
 def orbit_equivalent(eta, omega):
     """Equivalence under the integral symplectic action, decided by type.
 
-    Two certified classes are equivalent iff their (u, d, type) data agree;
-    the type is a complete orbit invariant.
+    Two certified classes are equivalent iff their (n, u, d, type) data
+    agree: on one Z^2n the type is a complete orbit invariant.  The type is
+    read off the Smith invariants of the verified N (``normend._smith_type``).
     """
     def data(form):
         norm = norm_from_class(form)
-        return norm.u, norm.d, _image_type(norm)[1].divisors
+        return norm.n, norm.u, norm.d, _smith_type(norm.mat, norm.u, norm.d)
 
     return data(eta) == data(omega)

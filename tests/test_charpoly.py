@@ -3,8 +3,11 @@
 ``_intlinalg.charpoly`` (Faddeev--LeVerrier over Z) serves every theta-pencil
 (``intersection_profile``, ``check_class``, ``check_class_mod_L``, ``q_r``)
 and the norm certificate; ``normend._image_type`` reads the image lattice as
-ker(N - d I).  The references are the symbolic Pfaffian pencil, the
-point-by-point determinant test and the saturated column span in
+ker(N - d I) for ``is_realizable`` and ``analyze``, the only callers that
+build theta's frame on it (typed ``enumerate_classes``, ``orbit_equivalent``
+and ``glue``'s self-check read the type off the Smith invariants of M, see
+``tests/test_normend.py``).  The references are the symbolic Pfaffian pencil,
+the point-by-point determinant test and the saturated column span in
 ``tests/oracle.py``.
 """
 

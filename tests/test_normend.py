@@ -1,6 +1,11 @@
+import itertools
+import random
+from math import gcd
+
 import pytest
 
 from nsforge import (
+    EnumerationSpec,
     NormMatrix,
     TwoForm,
     act,
@@ -9,6 +14,7 @@ from nsforge import (
     class_from_norm,
     complementary_class,
     elliptic_in_divisor,
+    enumerate_classes,
     norm_from_class,
     polynomial_certificate,
     random_symplectic,
@@ -19,8 +25,10 @@ from nsforge import _intlinalg as la
 from nsforge.errors import (
     NotIdempotent,
     NotSymmetricForJ,
+    TypeExponentMismatch,
     WrongDimensions,
 )
+from nsforge.normend import _image_type, _smith_type
 
 BLOCK = [[1, -1], [-1, 1]]
 
@@ -170,6 +178,81 @@ class TestAnalyze:
         for t in rep.type_divisors:
             prod *= t
         assert idx == prod * prod
+
+
+# witness types with n <= 6 and u = 1, 2, 3, scalar and not
+SMITH_WITNESSES = [(2, 1, (1,)), (2, 1, (3,)), (3, 1, (4,)), (4, 2, (2, 2)), (5, 2, (1, 2)),
+                   (6, 2, (1, 1)), (6, 3, (2, 2, 2)), (6, 3, (1, 2, 4)), (6, 3, (1, 1, 6)),
+                   (6, 3, (1, 1, 1))]
+
+
+def _determinantal_invariants(a):
+    """Smith invariants as quotients of the gcds of the k x k minors (the textbook definition)."""
+    out, prev = [], 1
+    for k in range(1, min(len(a), len(a[0])) + 1):
+        g = 0
+        for rows in itertools.combinations(range(len(a)), k):
+            for cols in itertools.combinations(range(len(a[0])), k):
+                g = gcd(g, la.det_bareiss([[a[i][j] for j in cols] for i in rows]))
+        if not g:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+class TestSmithType:
+    """The type read off the Smith invariants of M equals theta's Frobenius frame on the image.
+
+    N = J M is d on the image lattice X and N(Z^2n) has index prod (d / D_i)^2
+    in X, so the nonzero Smith invariants of M are d / D_i, each twice.
+    ``_image_type`` is the oracle.
+    """
+
+    @staticmethod
+    def agree(eta, u, d):
+        norm = norm_from_class(eta, u, d)
+        return _smith_type(eta.mat, u, d) == _smith_type(norm.mat, u, d) == _image_type(norm)[1].divisors
+
+    def test_kernel_matches_the_minors(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)]
+            assert la.smith_invariants(a) == _determinantal_invariants(a), a
+
+    def test_idempotent_surface_classes(self):
+        count = 0
+        for u, d, bound in itertools.product((1, 2), (1, 2, 3, 4), (1, 2)):
+            for eta in enumerate_classes(EnumerationSpec(2, u, d, bound, require_idempotent=True)):
+                assert self.agree(eta, u, d), eta
+                count += 1
+        assert count == 990
+
+    def test_idempotent_threefold_classes(self, monkeypatch):
+        monkeypatch.setenv("NSFORGE_BUDGET", str(3 ** 15))
+        count = 0
+        for u, d in ((1, 1), (1, 2), (1, 3), (2, 1)):
+            for eta in enumerate_classes(EnumerationSpec(3, u, d, 1, require_idempotent=True)):
+                assert self.agree(eta, u, d), eta
+                count += 1
+        assert count == 8450
+
+    @pytest.mark.parametrize("n,u,typ", SMITH_WITNESSES)
+    def test_witness_types_and_conjugates(self, n, u, typ):
+        eta = standard_witness(n, u, typ)[1]
+        for seed in range(3):
+            moved = act(random_symplectic(n, seed, 8), eta)
+            assert self.agree(moved, u, typ[-1])
+            assert _smith_type(moved.mat, u, typ[-1]) == typ
+        assert _smith_type(eta.mat, u, typ[-1]) == typ
+
+    def test_non_primitive_class_raises_like_the_frame(self):
+        for n, u, typ in SMITH_WITNESSES[:5]:
+            norm = norm_from_class(2 * standard_witness(n, u, typ)[1], u, 2 * typ[-1])
+            for read in (lambda: _smith_type(norm.mat, norm.u, norm.d), lambda: _image_type(norm)):
+                with pytest.raises(TypeExponentMismatch):
+                    read()
 
 
 class TestComplementaryClass:

@@ -13,12 +13,14 @@ from nsforge import (
     orbit_equivalent,
     random_symplectic,
     standard_witness,
+    theta,
 )
 from nsforge import _intlinalg as la
-from nsforge import exterior, normend, scan
+from nsforge import exterior, normend, scan, symplectic
 from nsforge.errors import BudgetExceeded, RangeError
 
 from oracle import reference_enumerate
+from test_certify_once import _patch_every_binding
 
 
 class TestEnumerate:
@@ -178,6 +180,11 @@ class TestOrbitEquivalence:
     def test_different_exponents(self):
         assert not orbit_equivalent(elliptic_class(2, 2), elliptic_class(3, 2))
 
+    def test_different_dimensions(self):
+        """Classes on Z^6 and Z^4 with the same (u, d, type) lie in no common orbit."""
+        assert not orbit_equivalent(standard_witness(3, 1, (2,))[1], standard_witness(2, 1, (2,))[1])
+        assert not orbit_equivalent(theta(2), theta(3))
+
 
 def _type_choices(u, d):
     """Nondecreasing divisor chains of length u ending in d: the types a (u, d) class can have."""
@@ -235,6 +242,13 @@ class TestReferenceWalker:
         assert enumerate_classes(spec, first_entry_values=[1, -1, 1, 0]) == enumerate_classes(spec)
 
 
+def _count_calls(monkeypatch, original):
+    """The calls of ``original`` through every binding of it in the package, as a list."""
+    calls = []
+    _patch_every_binding(monkeypatch, original, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 class TestWalkerWork:
     """Work guards: certification runs only where the row identity leaves a doubt."""
 
@@ -261,27 +275,35 @@ class TestWalkerWork:
         assert enumerate_classes(spec) == expected
 
     def test_idempotent_mode_certifies_hits_at_most_once(self, monkeypatch):
-        calls = []
-        original = scan.norm_from_class
-        monkeypatch.setattr(scan, "norm_from_class",
-                            lambda eta, *a: calls.append(eta) or original(eta, *a))
+        """The walker certifies typed hits (M J M = d M, trace -u d, gcd 1): none is re-verified."""
+        calls = _count_calls(monkeypatch, normend.norm_from_class)
         hits = enumerate_classes(EnumerationSpec(2, 2, 1, 2, require_idempotent=True))
         assert len(calls) <= len(hits)
         calls.clear()
         typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
-        assert len(typed) == 244 and len(calls) == len(set(calls)) == 244
+        assert len(typed) == 244 and calls == []
 
     def test_typed_mode_computes_only_the_type(self, monkeypatch):
-        """No kernel lattice per hit: the one kernel per hit is the image, ker(N - d I)."""
-        calls = []
-        la = normend.la
-        proxy = types.SimpleNamespace(**vars(la))
-        proxy.kernel_basis = lambda a: calls.append(a) or la.kernel_basis(a)
-        monkeypatch.setattr(normend, "la", proxy)
+        """No lattice and no frame per hit: the type comes from the Smith invariants of M."""
+        kernels = _count_calls(monkeypatch, la.kernel_basis)
+        frames = _count_calls(monkeypatch, symplectic.frobenius_basis)
         typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
         assert len(typed) == 244
-        shift = la.mat_scale(2, la.identity(4))
-        assert (sorted(normend.class_from_norm(la.mat_add(a, shift)).coefficient_vector()
-                       for a in calls) == sorted(eta.coefficient_vector() for eta in typed))
-        calls.clear()
-        assert normend.analyze(typed[0]).type_divisors == (2,) and len(calls) == 2
+        assert enumerate_classes(EnumerationSpec(2, 2, 1, 1, require_type=(1, 1))) == [theta(2)]
+        assert kernels == [] and frames == []
+        assert normend.analyze(typed[0]).type_divisors == (2,)
+        assert len(kernels) == 2 and len(frames) == 1
+
+    def test_orbit_equivalent_builds_no_frame(self, monkeypatch, eta0):
+        """One verifying norm matrix per side, then the Smith invariants: no image, no frame."""
+        norms = _count_calls(monkeypatch, normend.norm_from_class)
+        kernels = _count_calls(monkeypatch, la.kernel_basis)
+        frames = _count_calls(monkeypatch, symplectic.frobenius_basis)
+        moved = act(random_symplectic(4, 3, 10), eta0)
+        assert orbit_equivalent(eta0, moved)
+        assert not orbit_equivalent(moved, standard_witness(4, 2, (1, 2))[1])
+        frames.clear()
+        kernels.clear()
+        norms.clear()
+        assert orbit_equivalent(moved, eta0)
+        assert len(norms) == 2 and kernels == [] and frames == []
