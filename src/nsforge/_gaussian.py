@@ -1,7 +1,7 @@
 """Gaussian rationals: complex numbers with Fraction components.
 
-The exact period matrices of the analytic module hold entries of this field;
-their decisions and solves clear denominators and run over the integers.
+An exact period matrix is stored as integers (re + i im) / q; this field is
+only its boundary form: ``rows``, ``residual_matrix``, the tangent and JSON.
 """
 
 from fractions import Fraction
@@ -80,9 +80,6 @@ class QQi:
 
     def conjugate(self):
         return QQi(self.re, -self.im)
-
-    def to_complex(self):
-        return complex(self.re, self.im)
 
     def __repr__(self):
         return f"QQi({self.re!r}, {self.im!r})"

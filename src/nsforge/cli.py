@@ -210,16 +210,13 @@ def _cmd_enum(args):
 
 
 def _enum_block(payload):
-    spec_fields, firsts = payload
-    return enumerate_classes(EnumerationSpec(*spec_fields), first_entry_values=firsts)
+    spec, firsts = payload
+    return enumerate_classes(spec, first_entry_values=firsts)
 
 
 def _enum_parallel(spec, jobs):
-    fields = (spec.n, spec.u, spec.d, spec.bound, spec.require_idempotent,
-              spec.require_type, spec.use_prefilters, spec.allow_large)
-    classes = _map_first_entries(_enum_block, (fields,), spec.bound, jobs)
-    classes.sort(key=lambda e: e.coefficient_vector())
-    return classes
+    """The chunks come back in ascending first coefficient, each sorted: already in order."""
+    return _map_first_entries(_enum_block, (spec,), spec.bound, jobs)
 
 
 def _cmd_humbert(args):

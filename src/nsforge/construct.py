@@ -4,16 +4,15 @@ Two polarized factors of complementary types are glued along the graph of an
 anti-symplectic identification of their torsion groups; the product form
 descends to a principal one on the glued lattice.  Everything is exact and
 over Z: ``riemann._normalized_periods`` solves the period matrix from the
-factors' integer period blocks in one fraction-free elimination, the class
-of the first factor is the pullback of its block of the product form, and
-the round trip through the class machinery is verified before returning.
+factors' stored integer blocks (q, A, B) in one fraction-free elimination,
+the class of the first factor is the pullback of its block of the product
+form, and the round trip through the class machinery is verified.
 """
 
 from dataclasses import dataclass
 from math import lcm, prod
 
 from . import _intlinalg as la
-from ._gaussian import QQi
 from .errors import (
     NotPrimitive,
     NotPrincipal,
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .exterior import TwoForm, check_class, is_primitive, theta
 from .normend import _image_type, _smith_type, norm_from_class
-from .riemann import EXACT, PeriodMatrix, _int_parts, _normalized_periods, wedge_vanishes
+from .riemann import EXACT, PeriodMatrix, _normalized_periods, wedge_vanishes
 from .symplectic import frobenius_basis, gram_matrix
 
 
@@ -147,22 +146,21 @@ def _frame_columns(cols, frame):
 
 
 def _square_periods(k):
-    """The k x k period matrix i I."""
-    return PeriodMatrix.exact([[QQi(0, int(i == j)) for j in range(k)] for i in range(k)])
+    """The k x k period matrix i I: the integer block (1, 0, I)."""
+    return PeriodMatrix(k, EXACT, 1, la.mat_freeze(la.zeros(k, k)), la.mat_freeze(la.identity(k)))
 
 
 def _complex_period_block(factors):
     """Re and Im of q P, P the block diagonal of the (tau_f | diag(D_f)), q the lcm of the q_f."""
     n = sum(f.dim for f in factors)
-    parts = [_int_parts(f.tau.rows) for f in factors]
-    q = lcm(*(p[0] for p in parts))
+    q = lcm(*(f.tau.q for f in factors))
     re, im = la.zeros(n, 2 * n), la.zeros(n, 2 * n)
     row = 0
-    for f, (q_f, re_f, im_f) in zip(factors, parts):
-        k, scale = f.dim, q // q_f
+    for f in factors:
+        k, scale = f.dim, q // f.tau.q
         for i in range(k):
-            re[row + i][2 * row:2 * row + k] = [scale * x for x in re_f[i]]
-            im[row + i][2 * row:2 * row + k] = [scale * x for x in im_f[i]]
+            re[row + i][2 * row:2 * row + k] = [scale * x for x in f.tau.re[i]]
+            im[row + i][2 * row:2 * row + k] = [scale * x for x in f.tau.im[i]]
             re[row + i][2 * row + k + i] = q * f.divisors[i]
         row += k
     return re, im

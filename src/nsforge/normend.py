@@ -11,10 +11,10 @@ N^2 = d N of rank 2u (d >= 1) already fixes the (u, d) profile, and
 d I - N certifies d theta - eta as the (n - u, d) complement.  Callers that
 know (u, d) skip ``check_class``; ``complementary_class`` is the oracle.
 
-The norm matrix and the Frobenius frame of theta on the image
-(``_image_type``) are the whole certificate.  Only ``is_realizable`` and
-``_report`` (behind ``analyze`` and ``scan_ppav``; it adds the kernel lattice
-and the complement) build the frame.  Typed ``enumerate_classes``,
+The norm matrix fixes the whole certificate.  Only ``is_realizable``
+builds the Frobenius frame of theta on the image (``_image_type``), which it
+uses as a basis.  ``_report`` (behind ``analyze`` and ``scan_ppav``; it adds
+the image and kernel lattices and the complement), typed ``enumerate_classes``,
 ``orbit_equivalent`` and ``glue``'s check read the type off the Smith
 invariants of M (``_smith_type``); ``tangent_and_lattice`` reads ``_image``.
 """
@@ -169,14 +169,14 @@ def _smith_type(mat, u, d):
 def _report(eta, norm):
     """The certificate of a class whose norm matrix has already been verified."""
     n, u, d = norm.n, norm.u, norm.d
-    image, frame = _image_type(norm)
-    divisors = frame.divisors
+    image, divisors = _image(norm), _smith_type(norm.mat, u, d)
     if u < n:
         kernel = la.kernel_basis([list(r) for r in norm.mat])
         kernel_lat = IntegerLattice(2 * n, tuple(tuple(v) for v in kernel))
     else:
         kernel_lat = IntegerLattice(2 * n, ())
-    # index of image (+) kernel in the full lattice equals the squared type product
+    # index of image (+) kernel in the full lattice equals the squared type product,
+    # a cross-check of the type read off the Smith invariants
     combined = [list(b) for b in image.basis] + [list(b) for b in kernel_lat.basis]
     assert len(combined) == 2 * n, "internal: image and kernel do not fill the space"
     idx = abs(la.det_bareiss(la.transpose(combined)))

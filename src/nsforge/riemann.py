@@ -11,18 +11,19 @@ exact decisions test q^2 R over the integers, as the congruence by the
 integer period block of q P; the float test and the float scan take each
 entry from the minors of P in binary64 and bound it by tol times the size
 of its terms; the symbolic relations are the same minors over Z[tau].
-The exact tangent, the Moebius action and the positive-definiteness test
-run on the integer parts of q tau too.  Every solved exact tau (``moebius``,
-``glue``, ``is_realizable``) is one integer Cramer solve of F X = E for an
-integer period block (E | F), in ``_normalized_periods``.  The wedge
-expansion is the test reference (``tests/oracle.py``).  Both backends of
-``scan_ppav`` search with ``scan._walk``.
+An exact tau = (A + iB) / q is stored as its integer block (q, A, B) in
+lowest terms, which the tangent, the Moebius action and the Siegel test read;
+QQi exists only at the boundary (``rows``, ``residual_matrix``, the tangent,
+JSON).  Every solved exact tau (``moebius``, ``glue``, ``is_realizable``) is
+one integer Cramer solve of F X = E for an integer period block (E | F), in
+``_normalized_periods``.  The wedge expansion is the test reference
+(``tests/oracle.py``); both ``scan_ppav`` backends search with ``scan._walk``.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite, lcm
+from math import gcd, inf, isfinite, lcm
 
 from . import _intlinalg as la
 from . import scan
@@ -47,47 +48,68 @@ _CHOL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """Symmetric n x n matrix with positive-definite imaginary part."""
+    """Symmetric n x n tau = (re + i im) / q with positive-definite imaginary part.
+
+    Exact: integer re, im and q > 0 in lowest terms, so ``==`` is value equality.
+    Float: binary64 re, im and q = 1.  Built by ``exact`` and ``from_float``.
+    """
 
     n: int
     backend: str
-    rows: tuple  # tuple of tuples of QQi (exact) or complex (float)
+    q: int
+    re: tuple  # tuple of tuples of int (exact) or float
+    im: tuple
 
     def __post_init__(self):
         if self.backend not in (EXACT, FLOAT):
             raise RangeError(f"unknown backend {self.backend!r}")
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+        parts = (self.re, self.im)
+        if any(len(part) != self.n or any(len(r) != self.n for r in part) for part in parts):
             raise DimensionMismatch("period matrix must be n x n")
-        if self.backend == FLOAT and not all(cmath.isfinite(e) for row in self.rows for e in row):
+        if self.backend == FLOAT and not all(isfinite(x) for p in parts for r in p for x in r):
             raise NotInSiegel("period matrix entries must be finite")
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise NotInSiegel("period matrix must be symmetric")
-        if self.backend == EXACT:
-            positive = _int_pd(_int_parts(self.rows)[2])
-        else:
-            positive = _float_pd([[e.imag for e in row] for row in self.rows])
-        if not positive:
+        if any(tuple(zip(*part)) != part for part in parts):
+            raise NotInSiegel("period matrix must be symmetric")
+        if not (_int_pd if self.backend == EXACT else _float_pd)(self.im):
             raise NotInSiegel("imaginary part is not positive definite")
 
     @classmethod
     def exact(cls, entries):
-        rows = tuple(tuple(e if isinstance(e, QQi) else QQi(e) for e in row) for row in entries)
-        return cls(len(rows), EXACT, rows)
+        """From entries in Q(i): QQi, or anything ``QQi`` takes, such as int and Fraction."""
+        rows = [[e if isinstance(e, QQi) else QQi(e) for e in row] for row in entries]
+        q = lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
+        re = tuple(tuple(e.re.numerator * (q // e.re.denominator) for e in row) for row in rows)
+        im = tuple(tuple(e.im.numerator * (q // e.im.denominator) for e in row) for row in rows)
+        return cls(len(rows), EXACT, q, re, im)
 
     @classmethod
     def from_float(cls, entries):
-        rows = tuple(tuple(complex(e) for e in row) for row in entries)
-        return cls(len(rows), FLOAT, rows)
+        rows = [[complex(e) for e in row] for row in entries]
+        return cls(len(rows), FLOAT, 1, tuple(tuple(e.real for e in row) for row in rows),
+                   tuple(tuple(e.imag for e in row) for row in rows))
+
+    @property
+    def rows(self):
+        """The entries: QQi for an exact tau, complex for a float one."""
+        if self.backend == EXACT:
+            return la.mat_freeze(_gaussian(self.q, self.re, self.im))
+        return tuple(tuple(map(complex, *rows)) for rows in zip(self.re, self.im))
 
     def entry(self, i, j):
         return self.rows[i][j]
 
     def to_float(self):
+        """The float tau: int / int is correctly rounded, as ``float(Fraction)`` is."""
         if self.backend == FLOAT:
             return self
-        return PeriodMatrix.from_float([[e.to_complex() for e in row] for row in self.rows])
+        q = self.q
+        return PeriodMatrix(self.n, FLOAT, 1, tuple(tuple(x / q for x in r) for r in self.re),
+                            tuple(tuple(x / q for x in r) for r in self.im))
+
+
+def _gaussian(q, re, im):
+    """The Q(i) matrix (re + i im) / q of integer matrices re, im: the boundary form."""
+    return [[QQi(Fraction(x, q), Fraction(y, q)) for x, y in zip(*rows)] for rows in zip(re, im)]
 
 
 def _int_pd(sym):
@@ -195,22 +217,15 @@ def _residual(eta, t):
             for rows in zip((r[:n] for r in top), term2, term3, term4)]
 
 
-def _int_parts(rows):
-    """q, the lcm of the denominators of a Gaussian-rational matrix Z, and Re, Im of q Z."""
-    q = lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
-    return (q, [[e.re.numerator * (q // e.re.denominator) for e in row] for row in rows],
-            [[e.im.numerator * (q // e.im.denominator) for e in row] for row in rows])
-
-
 def _period_block(tau):
-    """q, the lcm of the denominators of an exact tau = (A + iB) / q, and Q = [[qI, -A], [0, -B]].
+    """Q = [[qI, -A], [0, -B]] for an exact tau = (A + iB) / q.
 
     The rows of Q are the real and imaginary parts of q (I | -tau).
     """
-    n = tau.n
-    q, re, im = _int_parts(tau.rows)
-    top = [[q if i == k else 0 for i in range(n)] + [-x for x in row] for k, row in enumerate(re)]
-    return q, top + [[0] * n + [-x for x in row] for row in im]
+    n, q = tau.n, tau.q
+    top = [[q if i == k else 0 for i in range(n)] + [-x for x in row]
+           for k, row in enumerate(tau.re)]
+    return top + [[0] * n + [-x for x in row] for row in tau.im]
 
 
 def _real_form(re, im):
@@ -222,13 +237,15 @@ def _normalized_periods(z_re, z_im):
     """The period matrix X with F X = E for an integer complex n x 2n matrix Z = (E | F).
 
     One ``la.solve_bareiss`` of the real form of F: each entry is a Cramer numerator
-    over det.  A singular F raises ZeroDivisionError, an X off the Siegel space NotInSiegel.
+    over det, and one gcd brings them all to lowest terms with q > 0.  A singular
+    F raises ZeroDivisionError, an X off the Siegel space NotInSiegel.
     """
     n = len(z_re)
     f = _real_form([r[n:] for r in z_re], [r[n:] for r in z_im])
     det, cols = la.solve_bareiss(f, list(zip(*(r[:n] for r in z_re + z_im))))
-    return PeriodMatrix.exact([[QQi(Fraction(c[k], det), Fraction(c[n + k], det)) for c in cols]
-                               for k in range(n)])
+    g = gcd(det, *(x for c in cols for x in c)) * (1 if det > 0 else -1)
+    re, im = (tuple(tuple(c[h + k] // g for c in cols) for k in range(n)) for h in (0, n))
+    return PeriodMatrix(n, EXACT, det // g, re, im)
 
 
 def _minors(p, r, s, pairs):
@@ -245,11 +262,11 @@ def _int_residual(eta, tau):
     n = tau.n
     if eta.n != n:
         raise DimensionMismatch("form and period matrix sizes differ")
-    q, block = _period_block(tau)
+    block = _period_block(tau)
     s = la.mat_mul(la.mat_mul(block, eta.mat), la.transpose(block))
     re = [[s[k][l] - s[n + k][n + l] for l in range(n)] for k in range(n)]
     im = [[s[k][n + l] + s[n + k][l] for l in range(n)] for k in range(n)]
-    return q * q, re, im
+    return tau.q * tau.q, re, im
 
 
 def _exact_vanishes(eta, tau):
@@ -266,9 +283,7 @@ def residual_matrix(eta, tau):
     over the integers.  The tests check R = 0 against the wedge expansion.
     """
     if tau.backend == EXACT:
-        q2, re, im = _int_residual(eta, tau)
-        return [[QQi(Fraction(x, q2), Fraction(y, q2)) for x, y in zip(*rows)]
-                for rows in zip(re, im)]
+        return _gaussian(*_int_residual(eta, tau))
     return _residual(eta, tau.rows)
 
 
@@ -345,25 +360,14 @@ def tangent_and_lattice(eta, tau, tol=DEFAULT_TOL):
     basis = _image(norm).basis  # 2u columns
     if tau.backend == EXACT:
         # q (tau | I) b = q (I | -tau) (b_bottom; -b_top): the period block on swapped columns
-        q, block = _period_block(tau)
         swapped = la.transpose([list(b[n:]) + [-x for x in b[:n]] for b in basis])
-        re_im = la.mat_mul(block, swapped)
+        re_im = la.mat_mul(_period_block(tau), swapped)
         re, im = re_im[:n], re_im[n:]
-        mat = [[QQi(Fraction(x, q), Fraction(y, q)) for x, y in zip(*rows)]
-               for rows in zip(re, im)]
+        mat = _gaussian(tau.q, re, im)
         rank = la.rank_int(_real_form(re, im)) // 2
     else:
-        pi_cols = []
-        for b in basis:
-            col = []
-            for k in range(n):
-                acc = 0j
-                for i in range(n):
-                    acc = acc + tau.rows[k][i] * b[i]
-                acc = acc + b[n + k]
-                col.append(acc)
-            pi_cols.append(col)
-        mat = [[pi_cols[c][r] for c in range(len(pi_cols))] for r in range(n)]
+        periods = [list(row) + [int(i == k) for i in range(n)] for k, row in enumerate(tau.rows)]
+        mat = la.mat_mul(periods, la.transpose(basis))
         rank = _float_rank(mat, tol)
     assert rank == u, f"internal: tangent rank {rank} != u = {u}"
     return {"tangent": mat, "lattice": mat}
@@ -404,7 +408,7 @@ def _coefficient_lattice(tau):
     """
     n = tau.n
     pairs = _pairs(n)
-    _, block = _period_block(tau)
+    block = _period_block(tau)
     rows = []
     for k in range(n):
         for l in range(k + 1, n):
@@ -485,7 +489,6 @@ def moebius(s, tau):
         raise NotAlternating("matrix is not symplectic")
     # with tau = (A + iB) / q, q (num; den) = S (A; qI) + i S (B; 0), and the
     # X solving den^T X = num^T is (num den^{-1})^T, which is symmetric
-    q, re, im = _int_parts(tau.rows)
-    parts = (re + la.mat_scale(q, la.identity(n)), im + la.zeros(n, n))
+    parts = (list(tau.re) + la.mat_scale(tau.q, la.identity(n)), list(tau.im) + la.zeros(n, n))
     return _normalized_periods(*(la.transpose(la.mat_mul(mat, part)) for part in parts))
 

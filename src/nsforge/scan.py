@@ -60,6 +60,11 @@ class EnumerationSpec:
             raise RangeError("need 1 <= u <= n")
         if self.d < 1 or self.bound < 1:
             raise RangeError("need d >= 1 and bound >= 1")
+        typ = self.require_type
+        if typ is not None and (len(typ) != self.u or any(a < 1 for a in typ) or typ[-1] != self.d
+                                or any(b % a for a, b in zip(typ, typ[1:]))):
+            raise RangeError(f"require_type must be u = {self.u} positive divisors, "
+                             f"each dividing the next, ending in d = {self.d}")
 
 
 _LATTICE_NODE_BUDGET = 20_000_000  # nodes of one lattice walk (the exact scan)

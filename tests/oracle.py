@@ -9,9 +9,10 @@ saturated image; the reference vanishing test is the expansion of
 eta ^ dz_1 ^ ... ^ dz_n on the (n + 2)-form basis, on both backends;
 the reference searches are the plain walker,
 the full-box float scan and the trace-coset exact scan that the search
-paths are checked against; the reference solves at the end are the Gaussian-rational
-and Fraction versions of the period-matrix solves, the tangent rank, the
-torsion pairing and the positive-definiteness test, the glued class from
+paths are checked against; the references at the end are the integer parts
+of a Gaussian-rational tau, the Gaussian-rational and Fraction versions of the
+period-matrix solves, the tangent rank, the torsion pairing and the
+positive-definiteness test, the glued class from
 its norm matrix, and the witness of ``is_realizable`` derived from the full
 report.
 """
@@ -205,7 +206,7 @@ def reference_enumerate(spec, first_entry_values=None):
     from nsforge import _intlinalg as la
     from nsforge.errors import NsforgeError
     from nsforge.exterior import TwoForm, check_class, is_primitive
-    from nsforge.normend import _report, norm_from_class
+    from nsforge.normend import _image_type, norm_from_class
 
     n, u, d, bound = spec.n, spec.u, spec.d, spec.bound
     m = 2 * n
@@ -239,7 +240,7 @@ def reference_enumerate(spec, first_entry_values=None):
                 except NsforgeError:
                     return
                 if spec.require_type is not None:
-                    if _report(eta, norm).type_divisors != tuple(spec.require_type):
+                    if _image_type(norm)[1].divisors != tuple(spec.require_type):
                         return
             elif check_class(eta) != (u, d):
                 return
@@ -440,6 +441,15 @@ def reference_exact_scan(tau, u, d, bound):
 # ------------------------------------------------------------------------
 # Reference exact solves: Gauss-Jordan over Q(i) and Fraction arithmetic, which
 # the fraction-free integer paths of ``construct`` and ``riemann`` replaced.
+
+
+def reference_int_parts(rows):
+    """q, the lcm of the denominators of a Gaussian-rational matrix Z, and Re, Im of q Z."""
+    from math import lcm
+
+    q = lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
+    return (q, [[e.re.numerator * (q // e.re.denominator) for e in row] for row in rows],
+            [[e.im.numerator * (q // e.im.denominator) for e in row] for row in rows])
 
 
 def reference_tau_from_basis(p_complex, c_num):

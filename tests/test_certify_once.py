@@ -7,15 +7,14 @@ the (u, d) one, and d I - N certifies the complement.  ``analyze``,
 instead of re-running ``check_class`` and ``complementary_class``; the tests
 below keep those two public functions as the oracles of the shortcut.
 
-The norm matrix and the Frobenius frame of theta on its image
-(``normend._image_type``) are the whole certificate; only ``is_realizable``
-and ``analyze`` build the frame.  ``glue``, ``standard_witness``,
-``is_realizable``, ``tangent_and_lattice`` and ``orbit_equivalent`` never
-build the full report (``analyze``/``_report``), ``is_realizable`` derives
-each frame once, ``tangent_and_lattice`` reads only the image
-(``normend._image``), and ``glue``'s self-check, ``orbit_equivalent`` and
-typed ``enumerate_classes`` read the type off the Smith invariants of M
-(``normend._smith_type``).
+The norm matrix fixes the whole certificate; only ``is_realizable`` builds
+the Frobenius frame of theta on its image (``normend._image_type``).
+``glue``, ``standard_witness``, ``is_realizable``, ``tangent_and_lattice``
+and ``orbit_equivalent`` never build the full report (``analyze``/``_report``),
+``is_realizable`` derives each frame once, ``tangent_and_lattice`` reads only
+the image (``normend._image``), and ``analyze``, ``glue``'s self-check,
+``orbit_equivalent`` and typed ``enumerate_classes`` read the type off the
+Smith invariants of M (``normend._smith_type``).
 """
 
 import gc

@@ -258,6 +258,11 @@ class TestErrors:
         assert result.exit_code == 2
         assert result.payload["error"]["code"] == "RangeError"
 
+    def test_enum_refuses_an_impossible_type(self, tmp_path):
+        spec = {"n": 2, "u": 1, "d": 2, "bound": 2, "require_type": [5, 7]}
+        proc = run_cli(["enum", "--in", write_json(tmp_path, "s.json", spec)])
+        self._assert_json_error(proc, "RangeError")
+
     @pytest.mark.parametrize("u", ["0", "3"])
     def test_scan_u_out_of_range(self, tmp_path, u):
         tau = {"n": 2, "backend": "exact",

@@ -12,6 +12,7 @@ is checked against the frame the full report gives (``oracle.reference_witness``
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,11 @@ from nsforge import (
     moebius,
     norm_from_class,
     random_symplectic,
+    residual_matrix,
+    scan_ppav,
     standard_witness,
     tangent_and_lattice,
+    wedge_vanishes,
 )
 from nsforge import _intlinalg as la
 from nsforge import jsonio
@@ -206,6 +210,62 @@ def test_moebius_and_tangent_on_conjugates():
             oracle.reference_moebius(s, tau)
         with pytest.raises(NotAlternating):  # refused before the solve: S is not symplectic
             moebius(s, tau)
+
+
+def test_stored_block_is_the_reference_conversion():
+    """Every solved tau is stored as its integer block (q, A, B) in lowest terms.
+
+    Over the witness grid, the glue grid and Moebius conjugates of both, the block is
+    the reference conversion of ``rows``, ``exact`` round-trips it, and ``to_float``
+    rounds each entry as ``float(Fraction)`` does.
+    """
+    rng = random.Random(31)
+    taus = [standard_witness(*cfg)[0] for cfg in WITNESS_GRID]
+    taus += [tau for _, _, (tau, _) in glue_grid(rng)]
+    taus += [moebius(random_symplectic(tau.n, rng.randrange(1000), rng.randint(1, 6)), tau)
+             for tau in list(taus) for _ in range(2)]
+    for tau in taus:
+        entries = [x for part in (tau.re, tau.im) for row in part for x in row]
+        assert tau.q > 0 and gcd(tau.q, *entries) == 1
+        assert PeriodMatrix.exact(tau.rows) == tau
+        q, re, im = oracle.reference_int_parts(tau.rows)
+        assert (q, re, im) == (tau.q, [list(r) for r in tau.re], [list(r) for r in tau.im])
+        assert tau.rows == tuple(tuple(QQi(Fraction(a, q), Fraction(b, q)) for a, b in zip(*rows))
+                                 for rows in zip(re, im))
+        floated = tau.to_float()
+        assert floated.q == 1
+        assert floated.rows == tuple(tuple(complex(e.re, e.im) for e in row) for row in tau.rows)
+    assert len(taus) == 3 * (len(WITNESS_GRID) + len(GLUE_CONFIGS))
+
+
+def test_exact_paths_build_no_gaussian_rationals(monkeypatch):
+    """The exact decisions and solves run on the integer block: no QQi is built.
+
+    Only the boundary builds one: ``rows``, ``residual_matrix``, the exact tangent, JSON.
+    """
+    rng = random.Random(37)
+    x = PolarizedFactor(1, (2,), seeded_periods(rng, 1))
+    y = PolarizedFactor(2, (1, 2), seeded_periods(rng, 2))
+    spec = GluingSpec(*MARKINGS[1][:2])
+    base = standard_witness(4, 2, (1, 2))[1]
+    moved = act(random_symplectic(4, 5, 4), base)
+    s = random_symplectic(3, 9, 4)
+    built = []
+    init = QQi.__init__
+    monkeypatch.setattr(QQi, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+
+    tau, eta = glue(x, y, spec)
+    assert wedge_vanishes(eta, tau)
+    assert moebius(s, tau).n == 3
+    assert scan_ppav(standard_witness(2, 1, (2,))[0], 1, 2, 1)
+    assert is_realizable(moved)
+    assert built == []
+
+    assert len(tau.rows) == 3 and len(built) == 9
+    residual_matrix(eta, tau)
+    tangent_and_lattice(eta, tau)
+    jsonio.period_matrix_to_json(tau)
+    assert len(built) > 9
 
 
 def test_witness_matches_the_reference_frame():

@@ -50,6 +50,14 @@ class TestEnumerate:
         with pytest.raises(RangeError):
             enumerate_classes(EnumerationSpec(2, 1, 1, 4))
 
+    @pytest.mark.parametrize("u,d,typ", [(1, 2, (3,)), (1, 2, (1,)), (1, 2, (2, 2)), (1, 2, (4,)),
+                                         (1, 2, (0,)), (1, 2, (-2,)), (2, 6, (4, 6)),
+                                         (2, 6, (0, 6)), (2, 2, (2,))])
+    def test_impossible_type_is_refused(self, u, d, typ):
+        """A required type is u positive divisors, each dividing the next, ending in d."""
+        with pytest.raises(RangeError, match="require_type"):
+            EnumerationSpec(2, u, d, 3, require_type=typ)
+
     def test_pruning_soundness(self):
         with_filters = enumerate_classes(EnumerationSpec(2, 1, 1, 1))
         without = enumerate_classes(
@@ -284,7 +292,10 @@ class TestWalkerWork:
         assert len(typed) == 244 and calls == []
 
     def test_typed_mode_computes_only_the_type(self, monkeypatch):
-        """No lattice and no frame per hit: the type comes from the Smith invariants of M."""
+        """No lattice and no frame per hit: the type comes from the Smith invariants of M.
+
+        ``analyze`` reads the type the same way: it builds the image and kernel, no frame.
+        """
         kernels = _count_calls(monkeypatch, la.kernel_basis)
         frames = _count_calls(monkeypatch, symplectic.frobenius_basis)
         typed = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_type=(2,)))
@@ -292,7 +303,7 @@ class TestWalkerWork:
         assert enumerate_classes(EnumerationSpec(2, 2, 1, 1, require_type=(1, 1))) == [theta(2)]
         assert kernels == [] and frames == []
         assert normend.analyze(typed[0]).type_divisors == (2,)
-        assert len(kernels) == 2 and len(frames) == 1
+        assert len(kernels) == 2 and frames == []
 
     def test_orbit_equivalent_builds_no_frame(self, monkeypatch, eta0):
         """One verifying norm matrix per side, then the Smith invariants: no image, no frame."""
