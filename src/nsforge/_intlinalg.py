@@ -375,10 +375,6 @@ def gcd_list(values):
     return g
 
 
-def frac_mat(a):
-    return [[Fraction(x) for x in row] for row in a]
-
-
 def det_fraction(a):
     """Determinant of a matrix of Fractions (Gaussian elimination)."""
     n = len(a)
@@ -408,9 +404,8 @@ def det_fraction(a):
 def solve_fraction(a, rhs_cols):
     """Solve a X = B over an exact field; B given as columns, X returned so.
 
-    The entries of ``a`` must be field elements (Fraction, QQi): pass an
-    integer matrix through ``frac_mat`` first.  A singular ``a`` raises
-    ZeroDivisionError.
+    The entries of ``a`` must be field elements (Fraction, QQi): int entries
+    would divide in binary64.  A singular ``a`` raises ZeroDivisionError.
     """
     n = len(a)
     k = len(rhs_cols)

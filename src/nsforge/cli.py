@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a positive result, 1 for a well-posed negative answer
 (for example a vanishing test that fails), 2 for any usage or input error.
-Errors are emitted as one JSON document on stderr.
+Errors are emitted as one JSON document on stderr.  ``--jobs`` reaches
+``enumerate_classes`` (``enum``) and ``scan_ppav`` (``scan``), whose float
+box walk it splits into worker processes; the output does not depend on it.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from .riemann import (
     symbolic_relations,
     wedge_vanishes,
 )
-from .scan import EnumerationSpec, _map_first_entries, enumerate_classes
+from .scan import EnumerationSpec, enumerate_classes
 from .symplectic import act, random_symplectic
 
 
@@ -201,22 +203,10 @@ def _cmd_enum(args):
     else:
         if args.n is None or args.u is None or args.d is None or args.bound is None:
             raise RangeError("enum needs --in, or --n --u --d --bound")
-        spec = EnumerationSpec(args.n, args.u, args.d, args.bound)
-    if args.jobs and args.jobs > 1:
-        classes = _enum_parallel(spec, args.jobs)
-    else:
-        classes = enumerate_classes(spec)
+        spec = EnumerationSpec(args.n, args.u, args.d, args.bound,
+                               require_type=_parse_type(args.type_divisors or "") or None)
+    classes = enumerate_classes(spec, args.jobs)
     return CommandResult("ok", {"classes": [jsonio.two_form_to_json(e) for e in classes]})
-
-
-def _enum_block(payload):
-    spec, firsts = payload
-    return enumerate_classes(spec, first_entry_values=firsts)
-
-
-def _enum_parallel(spec, jobs):
-    """The chunks come back in ascending first coefficient, each sorted: already in order."""
-    return _map_first_entries(_enum_block, (spec,), spec.bound, jobs)
 
 
 def _cmd_humbert(args):

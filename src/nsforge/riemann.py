@@ -17,7 +17,8 @@ QQi exists only at the boundary (``rows``, ``residual_matrix``, the tangent,
 JSON).  Every solved exact tau (``moebius``, ``glue``, ``is_realizable``) is
 one integer Cramer solve of F X = E for an integer period block (E | F), in
 ``_normalized_periods``.  The wedge expansion is the test reference
-(``tests/oracle.py``); both ``scan_ppav`` backends search with ``scan._walk``.
+(``tests/oracle.py``); both ``scan_ppav`` backends search with ``scan._walk``,
+the float one through ``scan._walk_chunks`` like ``enumerate_classes``.
 """
 
 import cmath
@@ -37,7 +38,7 @@ from .errors import (
     RangeError,
 )
 from .normend import _image, _report, norm_from_class
-from .scan import _check_box_budget, _form, _map_first_entries, _pairs, _walk_block
+from .scan import _check_box_budget, _form, _pairs
 from .symplectic import is_symplectic
 
 EXACT = "exact"
@@ -103,8 +104,11 @@ class PeriodMatrix:
         if self.backend == FLOAT:
             return self
         q = self.q
-        return PeriodMatrix(self.n, FLOAT, 1, tuple(tuple(x / q for x in r) for r in self.re),
-                            tuple(tuple(x / q for x in r) for r in self.im))
+        try:
+            re, im = (tuple(tuple(x / q for x in r) for r in part) for part in (self.re, self.im))
+        except OverflowError:
+            raise RangeError("period matrix entries too large for binary64") from None
+        return PeriodMatrix(self.n, FLOAT, 1, re, im)
 
 
 def _gaussian(q, re, im):
@@ -427,7 +431,9 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     the (u, d) profile, and vanishes for tau, in lexicographic coefficient order.
     Both backends walk with ``scan._walk``, pruning on M J M = d M and the
     trace: the exact one the box points of the vanishing lattice, the float
-    one the box, keeping the classes within the residual tolerance.
+    one the box, keeping the classes within the residual tolerance.  The
+    float walk is ``enumerate_classes``'s ``scan._walk_chunks``: one walk for
+    jobs <= 1, else one chunk per first coefficient in worker processes.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
@@ -442,7 +448,9 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     if tau.backend == EXACT:
         vectors = scan._walk(n, u, d, bound, True, _coefficient_lattice(tau)[1])
     else:
-        vectors = _float_scan_vectors(tau, u, d, bound, tol, jobs)
+        rows = _float_rows(tau)
+        vectors = [vec for vec in scan._walk_chunks(n, u, d, bound, True, jobs)
+                   if _within(rows, vec, tol)]
     reports = []
     for vec in sorted(vectors):
         eta = _form(n, vec)
@@ -450,13 +458,6 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
             assert wedge_vanishes(eta, tau), "internal: kernel member fails the wedge test"
         reports.append(_report(eta, norm_from_class(eta, u, d)))
     return reports
-
-
-def _float_scan_vectors(tau, u, d, bound, tol, jobs):
-    """Certified (u, d) coefficient vectors whose float residual entries are within tolerance."""
-    rows = _float_rows(tau)
-    walked = _map_first_entries(_walk_block, (tau.n, u, d, bound, True, None), bound, jobs)
-    return [vec for vec in walked if _within(rows, vec, tol)]
 
 
 def _float_rows(tau):

@@ -27,14 +27,18 @@ only on the rest, since the profile alone does not imply idempotence.
 Typed mode reads the type of its certified, primitive hits off the Smith
 invariants of M (``normend._smith_type``): no norm matrix, basis or frame.
 
-The raw box grows as (2 bound + 1)^(n (2n - 1)), so ``enumerate_classes``
-and the float scan refuse one above a hard budget instead of hanging (raise
-it with the NSFORGE_BUDGET environment variable).  A lattice walk counts
-its nodes instead and fails past ``_LATTICE_NODE_BUDGET``.
+``enumerate_classes`` and the float scan walk the whole box through
+``_walk_chunks``: one walk for jobs <= 1, else one walk per first
+coefficient in worker processes, with the same result.  The raw box grows
+as (2 bound + 1)^(n (2n - 1)), so both refuse one above a hard budget
+instead of hanging (raise it with the NSFORGE_BUDGET environment variable).
+A lattice walk counts its nodes instead and fails past
+``_LATTICE_NODE_BUDGET``.
 """
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from operator import mul
 
@@ -52,8 +56,6 @@ class EnumerationSpec:
     bound: int
     require_idempotent: bool = False
     require_type: tuple = None
-    use_prefilters: bool = True
-    allow_large: bool = False
 
     def __post_init__(self):
         if not 1 <= self.u <= self.n:
@@ -122,19 +124,15 @@ def _lattice_steps(dim, cols):
     return steps
 
 
-def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefilters=True):
+def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
     """Coefficient vectors of the primitive classes in the box, in walk order.
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
-    (u, d).  ``use_prefilters`` switches the trace and rank prunes: the rank
-    test on the complete rows (``rank_rows``) in idempotent mode, and in
-    profile-only mode with u = n - 1 the solve of the last slot from
-    Pf(M) = 0 (``pf_solutions``); the row identity always prunes in
-    idempotent mode.  ``lattice``, an echelon basis in slot order
-    (``_lattice_steps``), restricts the walk to its points; such a walk
-    counts its nodes and raises ``BudgetExceeded`` past
-    ``_LATTICE_NODE_BUDGET``.
+    (u, d).  ``lattice``, an echelon basis in slot order (``_lattice_steps``),
+    restricts the walk to its points; such a walk counts its nodes and
+    raises ``BudgetExceeded`` past ``_LATTICE_NODE_BUDGET``.
+    ``first_values`` restricts the first coefficient of a box walk.
     """
     m = 2 * n
     pairs = _pairs(n)
@@ -147,9 +145,9 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
     # rank(M) by 2u only when n - u <= 1: N = J M is skew-Hamiltonian, so its
     # Jordan blocks come in pairs, and a 0-eigenvalue of multiplicity
     # 2n - 2u >= 4 can carry two blocks of size 2 (u = n bounds nothing)
-    rank_rows = [i + 1 if use_prefilters and idempotent and j == m - 1 and i + 1 > 2 * u
+    rank_rows = [i + 1 if idempotent and j == m - 1 and i + 1 > 2 * u
                  and idx < last else 0 for idx, (i, j) in enumerate(pairs)]
-    solve_pf = use_prefilters and not idempotent and u == n - 1
+    solve_pf = not idempotent and u == n - 1
     head, whole = tuple(range(m - 2)), tuple(range(m))
     steps = [None] * len(pairs) if lattice is None else _lattice_steps(len(pairs), lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
@@ -216,7 +214,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
                 values = (base,)
             else:  # the pivot's residue class in [-bound, bound]
                 values = span if piv == 1 else range(base - (base + bound) // piv * piv, bound + 1, piv)
-        if use_prefilters and anti[idx]:
+        if anti[idx]:
             slack = bound * anti_after[idx]
             lo, hi = target - trace - slack, target - trace + slack
             values = [a for a in values if lo <= a <= hi]
@@ -251,48 +249,34 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, use_prefi
     return found
 
 
-def _walk_block(args):
-    """``_walk(*args)``: the picklable unit of work of a worker pool."""
-    return _walk(*args)
+def _walk_chunks(n, u, d, bound, idempotent, jobs):
+    """``_walk`` over the box: one walk for jobs <= 1, else one chunk per first coefficient.
 
-
-def _map_first_entries(fn, head, bound, jobs):
-    """Concatenated ``fn(head + ([a],))`` over the first coefficients a in [-bound, bound].
-
-    One chunk per value, 2 bound + 1 in all; with jobs > 1 they run in
-    min(jobs, 2 bound + 1) worker processes, so ``fn`` must be a module-level
-    function.  The order of the result does not depend on jobs.
+    The 2 bound + 1 chunks run in min(jobs, 2 bound + 1) worker processes
+    and come back in ascending first coefficient, so the result is the walk's.
     """
-    payloads = [head + ([a],) for a in range(-bound, bound + 1)]
     if jobs <= 1:
-        blocks = map(fn, payloads)
-    else:
-        import concurrent.futures
+        return _walk(n, u, d, bound, idempotent)
+    import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
-            blocks = list(ex.map(fn, payloads))
-    return [item for block in blocks for item in block]
+    firsts = [(a,) for a in range(-bound, bound + 1)]
+    chunk = partial(_walk, n, u, d, bound, idempotent, None)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as ex:
+        return [vec for vectors in ex.map(chunk, firsts) for vec in vectors]
 
 
-def enumerate_classes(spec, first_entry_values=None):
+def enumerate_classes(spec, jobs=1):
     """All primitive classes with bounded coefficients certifying at (u, d).
 
     Deterministic lexicographic order on the upper-triangle coefficient
-    vector.  ``first_entry_values`` restricts the first coefficient to a
-    subset of [-bound, bound], which is the partition hook for parallel
-    runs: the union over a partition of [-bound, bound] equals the full run
-    in canonical order.
+    vector, for every ``jobs`` (see ``_walk_chunks``).
     """
     n, u, d, bound = spec.n, spec.u, spec.d, spec.bound
-    if not spec.allow_large and (n > 4 or bound > 3):
-        raise RangeError("enumeration is desk scale: n <= 4, bound <= 3 (override with allow_large)")
+    if n > 4 or bound > 3:
+        raise RangeError("enumeration is desk scale: n <= 4, bound <= 3")
     _check_box_budget(n, bound, "candidate")
-    if first_entry_values is not None:
-        first_entry_values = sorted(set(first_entry_values))
-        if any(abs(a) > bound for a in first_entry_values):
-            raise RangeError("first entry values must lie in [-bound, bound]")
     idempotent = spec.require_idempotent or spec.require_type is not None
-    vectors = _walk(n, u, d, bound, idempotent, None, first_entry_values, spec.use_prefilters)
+    vectors = _walk_chunks(n, u, d, bound, idempotent, jobs)
     classes = [_form(n, vec) for vec in sorted(vectors)]
     if spec.require_type is not None:
         typ = tuple(spec.require_type)

@@ -7,7 +7,7 @@ against.  The reference invariants below are the symbolic
 Pfaffian pencil, the point-by-point characteristic polynomial and the
 saturated image; the reference vanishing test is the expansion of
 eta ^ dz_1 ^ ... ^ dz_n on the (n + 2)-form basis, on both backends;
-the reference searches are the plain walker,
+the reference searches are the plain walker, the lattice walk,
 the full-box float scan and the trace-coset exact scan that the search
 paths are checked against; the references at the end are the integer parts
 of a Gaussian-rational tau, the Gaussian-rational and Fraction versions of the
@@ -197,11 +197,12 @@ def reference_float_limit(tau, tol):
 # through the public ``residual_matrix``.
 
 
-def reference_enumerate(spec, first_entry_values=None):
+def reference_enumerate(spec, prune=True):
     """``enumerate_classes`` by trace and per-row rank prunes, then per-leaf certification.
 
     The rank prune runs where a passing leaf has rank 2u: in the idempotent
-    and typed modes, and in profile-only mode when n - u <= 1.
+    and typed modes, and in profile-only mode when n - u <= 1.  With
+    ``prune`` false it certifies every point of the box.
     """
     from nsforge import _intlinalg as la
     from nsforge.errors import NsforgeError
@@ -219,7 +220,7 @@ def reference_enumerate(spec, first_entry_values=None):
         row_end[i] = idx
     results = []
     vec = [0] * len(pairs)
-    prune_rank = spec.use_prefilters and (
+    prune_rank = prune and (
         spec.require_idempotent or spec.require_type is not None or n - u <= 1)
 
     def rank_prune(upto_row):
@@ -246,11 +247,10 @@ def reference_enumerate(spec, first_entry_values=None):
                 return
             results.append(eta)
             return
-        values = first_entry_values if idx == 0 and first_entry_values is not None else span
-        for a in sorted(values):
+        for a in span:
             vec[idx] = a
             new_sum, new_left = anti_sum, anti_left
-            if spec.use_prefilters and idx in anti_slots:
+            if prune and idx in anti_slots:
                 new_sum, new_left = anti_sum + a, anti_left - 1
                 if (new_sum - bound * new_left > target_trace
                         or new_sum + bound * new_left < target_trace):
@@ -392,6 +392,35 @@ def _box_lattice_points(basis_cols, bound, offset):
     return sorted(results)
 
 
+def reference_lattice_walk(n, u, d, bound, idempotent, basis):
+    """``scan._walk`` over the lattice spanned by ``basis``: every box point, certified alone.
+
+    Profile-only mode keeps the primitive points with ``check_class`` (u, d),
+    idempotent mode those with a norm matrix at (u, d).  Sorted.
+    """
+    from math import gcd
+
+    from nsforge.errors import NsforgeError
+    from nsforge.exterior import TwoForm, check_class
+    from nsforge.normend import norm_from_class
+
+    pairs = [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
+    hits = []
+    for vec in _box_lattice_points(basis, bound, [0] * len(pairs)):
+        if gcd(*vec) != 1:
+            continue
+        eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
+        if idempotent:
+            try:
+                norm_from_class(eta, u, d)
+            except NsforgeError:
+                continue
+        elif check_class(eta) != (u, d):
+            continue
+        hits.append(vec)
+    return hits
+
+
 def _exact_scan_vectors(n, pairs, kernel, u, d, bound):
     """Box points of the vanishing lattice on the coset of antidiagonal sum -u d."""
     from nsforge import _intlinalg as la
@@ -443,6 +472,13 @@ def reference_exact_scan(tau, u, d, bound):
 # the fraction-free integer paths of ``construct`` and ``riemann`` replaced.
 
 
+def frac_mat(a):
+    """The integer matrix a with Fraction entries, for ``_intlinalg.solve_fraction``."""
+    from fractions import Fraction
+
+    return [[Fraction(x) for x in row] for row in a]
+
+
 def reference_int_parts(rows):
     """q, the lcm of the denominators of a Gaussian-rational matrix Z, and Re, Im of q Z."""
     from math import lcm
@@ -481,7 +517,7 @@ def reference_glued_class(c_num, u, d):
 
     m = len(c_num)
     rho0 = [[d if i == j < 2 * u else 0 for j in range(m)] for i in range(m)]
-    rho = la.transpose(la.solve_fraction(la.frac_mat(c_num), la.transpose(la.mat_mul(rho0, c_num))))
+    rho = la.transpose(la.solve_fraction(frac_mat(c_num), la.transpose(la.mat_mul(rho0, c_num))))
     assert all(x.denominator == 1 for row in rho for x in row), "norm matrix is not integral"
     return class_from_norm([[int(x) for x in row] for row in rho])
 
@@ -588,5 +624,5 @@ def reference_witness(eta):
             p_complex[row + i][2 * row + i] = QQi(0, 1)
             p_complex[row + i][2 * row + k + i] = QQi(dv)
         row += k
-    inverse = la.solve_fraction(la.frac_mat(la.transpose(cols)), la.frac_mat(la.identity(2 * n)))
+    inverse = la.solve_fraction(frac_mat(la.transpose(cols)), frac_mat(la.identity(2 * n)))
     return reference_tau_from_basis(p_complex, la.transpose(inverse))

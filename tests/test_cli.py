@@ -258,6 +258,33 @@ class TestErrors:
         assert result.exit_code == 2
         assert result.payload["error"]["code"] == "RangeError"
 
+    @pytest.mark.parametrize("command", ["analytic", "scan"])
+    def test_float_downgrade_beyond_binary64_is_a_range_error(self, tmp_path, command):
+        tau = {"n": 1, "backend": "exact", "entries": [[["0", str(10**400)]]]}
+        args = [command, "--tau", write_json(tmp_path, "t.json", tau), "--backend", "float"]
+        if command == "analytic":
+            args += ["--in", write_json(tmp_path, "e.json", {"n": 1, "coeffs": [{"i": 1, "j": 2, "a": 1}]})]
+        else:
+            args += ["--u", "1", "--d", "1", "--bound", "1"]
+        proc = run_cli(args)
+        self._assert_json_error(proc, "RangeError")
+        assert "binary64" in json.loads(proc.stderr)["error"]["message"]
+
+    def test_enum_type_flag_matches_the_document(self, tmp_path):
+        spec = {"n": 2, "u": 2, "d": 1, "bound": 1, "require_type": [1, 1]}
+        by_doc = run_cli(["enum", "--in", write_json(tmp_path, "s.json", spec)])
+        flags = ["enum", "--n", "2", "--u", "2", "--d", "1", "--bound", "1"]
+        by_flags = run_cli(flags + ["--type", "1,1"])
+        assert by_flags.returncode == by_doc.returncode == 0
+        assert by_flags.stdout == by_doc.stdout
+        # the principal class alone; without --type the 32 non-idempotent (2, 1) profiles come too
+        assert len(json.loads(by_flags.stdout)["classes"]) == 1
+        assert len(json.loads(run_cli(flags).stdout)["classes"]) > 1
+
+    def test_enum_type_flag_refuses_an_impossible_type(self):
+        proc = run_cli(["enum", "--n", "2", "--u", "1", "--d", "1", "--bound", "1", "--type", "2"])
+        self._assert_json_error(proc, "RangeError")
+
     def test_enum_refuses_an_impossible_type(self, tmp_path):
         spec = {"n": 2, "u": 1, "d": 2, "bound": 2, "require_type": [5, 7]}
         proc = run_cli(["enum", "--in", write_json(tmp_path, "s.json", spec)])

@@ -105,6 +105,11 @@ class TestPeriodMatrixValidation:
         tau = PeriodMatrix.from_float([[0.5 + 1j, 0.1], [0.1, 2j]])
         assert tau.backend == "float"
 
+    def test_to_float_beyond_binary64_is_a_range_error(self):
+        tau = PeriodMatrix.exact([[QQi(0, 10**400)]])
+        with pytest.raises(RangeError, match="too large for binary64"):
+            tau.to_float()
+
 
 class TestWedgeVanishes:
     def test_principal_always_vanishes(self):
@@ -416,7 +421,7 @@ class TestScan:
             pytest.fail("scan walked the lattice for an out-of-range u")
 
         monkeypatch.setattr(riemann, "_coefficient_lattice", no_walk)
-        monkeypatch.setattr(riemann, "_float_scan_vectors", no_walk)
+        monkeypatch.setattr(scan, "_walk_chunks", no_walk)
         for u in (0, 3, -1):
             with pytest.raises(RangeError, match="need 1 <= u <= n"):
                 scan_ppav(tau, u, 1, 1)
@@ -560,9 +565,9 @@ class TestSearchCore:
         def no_walk(*args):
             pytest.fail("scan walked for an exponent below 1")
 
-        for name in ("_coefficient_lattice", "_float_scan_vectors"):
-            monkeypatch.setattr(riemann, name, no_walk)
-        monkeypatch.setattr(scan, "_walk", no_walk)
+        monkeypatch.setattr(riemann, "_coefficient_lattice", no_walk)
+        for name in ("_walk", "_walk_chunks"):
+            monkeypatch.setattr(scan, name, no_walk)
         for d in (0, -1):
             assert scan_ppav(tau, 1, d, 1) == []
 

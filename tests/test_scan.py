@@ -19,7 +19,7 @@ from nsforge import _intlinalg as la
 from nsforge import exterior, normend, scan, symplectic
 from nsforge.errors import BudgetExceeded, RangeError
 
-from oracle import reference_enumerate
+from oracle import reference_enumerate, reference_lattice_walk
 from test_certify_once import _patch_every_binding
 
 
@@ -59,16 +59,16 @@ class TestEnumerate:
             EnumerationSpec(2, u, d, 3, require_type=typ)
 
     def test_pruning_soundness(self):
-        with_filters = enumerate_classes(EnumerationSpec(2, 1, 1, 1))
-        without = enumerate_classes(
-            EnumerationSpec(2, 1, 1, 1, use_prefilters=False))
-        assert with_filters == without
+        spec = EnumerationSpec(2, 1, 1, 1)
+        assert enumerate_classes(spec) == reference_enumerate(spec, prune=False)
 
     def test_n3_lattice_walks_agree_with_and_without_prefilters(self, monkeypatch):
         """Trace, rank and the last-slot Pfaffian solve drop no n = 3 class in either mode.
 
-        Each lattice is spanned by bounded classes found by sampling: (2, 1)
-        profiles with and without an idempotent norm, (1, 1) and (1, 2) ones.
+        The pruned walker agrees with the oracle's unpruned lattice walk, which
+        certifies every box point of the lattice alone.  Each lattice is
+        spanned by bounded classes found by sampling: (2, 1) profiles with and
+        without an idempotent norm, (1, 1) and (1, 2) ones.
         """
         spans = [
             [[-1, 0, -1, -1, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 1], [0, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0],
@@ -98,7 +98,7 @@ class TestEnumerate:
                 for d in (1, 2):
                     for idempotent in (False, True):
                         pruned = scan._walk(3, u, d, 1, idempotent, lattice)
-                        assert pruned == scan._walk(3, u, d, 1, idempotent, lattice, None, False)
+                        assert sorted(pruned) == reference_lattice_walk(3, u, d, 1, idempotent, span)
                         if u == 2 and not idempotent:
                             profile_u2_hits += len(pruned)
         assert profile_u2_hits > 0
@@ -112,16 +112,12 @@ class TestEnumerate:
         line = [-a for a in eta.coefficient_vector()]  # the walk's echelon pivot is positive
         assert scan._walk(3, 1, 1, 1, False, [line]) == [tuple(eta.coefficient_vector())]
 
-    def test_partition_determinism(self):
+    def test_partition_determinism(self, fake_pool):
         spec = EnumerationSpec(2, 1, 1, 1)
         full = enumerate_classes(spec)
-        for workers in (2, 3):
-            merged = []
-            for w in range(workers):
-                firsts = sorted(range(-1, 2))[w::workers]
-                merged.extend(enumerate_classes(spec, first_entry_values=firsts))
-            merged.sort(key=lambda e: e.coefficient_vector())
-            assert merged == full
+        for jobs in (2, 3):
+            assert enumerate_classes(spec, jobs) == full
+        assert fake_pool == [2, 3]
 
     def test_idempotence_filter(self):
         spec_all = EnumerationSpec(2, 2, 1, 1)
@@ -213,41 +209,23 @@ class TestReferenceWalker:
     def test_every_mode_matches_reference(self, n, u, d, bound):
         specs = [EnumerationSpec(n, u, d, bound),
                  EnumerationSpec(n, u, d, bound, require_idempotent=True)]
-        if bound == 1:
-            specs += [EnumerationSpec(n, u, d, bound, use_prefilters=False),
-                      EnumerationSpec(n, u, d, bound, require_idempotent=True,
-                                      use_prefilters=False)]
         if bound <= 2:
             specs += [EnumerationSpec(n, u, d, bound, require_type=t) for t in _type_choices(u, d)]
         for spec in specs:
-            assert enumerate_classes(spec) == reference_enumerate(spec), spec
+            got = enumerate_classes(spec)
+            assert got == reference_enumerate(spec), spec
+            if bound == 1:
+                assert got == reference_enumerate(spec, prune=False), spec
 
     @pytest.mark.parametrize("spec", [EnumerationSpec(2, 1, 1, 2),
                                       EnumerationSpec(2, 2, 1, 2),
                                       EnumerationSpec(2, 1, 2, 2, require_idempotent=True),
                                       EnumerationSpec(2, 2, 2, 2, require_type=(2, 2))])
-    def test_partitions_match_reference(self, spec):
+    def test_partitions_match_reference(self, fake_pool, spec):
         full = reference_enumerate(spec)
-        span = list(range(-spec.bound, spec.bound + 1))
-        for chunks in (2, 3):
-            merged = []
-            for w in range(chunks):
-                merged.extend(enumerate_classes(spec, first_entry_values=span[w::chunks]))
-            merged.sort(key=lambda e: e.coefficient_vector())
-            assert merged == full
-
-    def test_first_entry_values_out_of_range(self):
-        spec = EnumerationSpec(2, 1, 1, 1)
-        for values in ([2, 5], [0, 2], [-2]):
-            with pytest.raises(RangeError, match="first entry values"):
-                enumerate_classes(spec, first_entry_values=values)
-
-    def test_first_entry_values_deduplicated(self):
-        spec = EnumerationSpec(2, 1, 1, 1)
-        once = enumerate_classes(spec, first_entry_values=[0])
-        assert len(once) == 30
-        assert enumerate_classes(spec, first_entry_values=[0, 0]) == once
-        assert enumerate_classes(spec, first_entry_values=[1, -1, 1, 0]) == enumerate_classes(spec)
+        for jobs in (2, 3):
+            assert enumerate_classes(spec, jobs) == full
+        assert fake_pool == [2, 3]
 
 
 def _count_calls(monkeypatch, original):
