@@ -54,6 +54,14 @@ def _read_json(path):
         raise DimensionMismatch(f"{path} is not a JSON document: {exc}") from None
 
 
+def _no_data_flags(args):
+    """An ``--in`` document carries its own data: refuse ``--n/--u/--d/--bound/--type`` beside it."""
+    flags = [f"--{name}" for name, value in (("n", args.n), ("u", args.u), ("d", args.d),
+             ("bound", args.bound), ("type", args.type_divisors)) if value is not None]
+    if flags:
+        raise RangeError(f"{args.command} --in takes its data from the document, not {' '.join(flags)}")
+
+
 def _parse_type(text):
     try:
         return tuple(int(x) for x in text.split(",") if x.strip() != "")
@@ -172,6 +180,7 @@ def _cmd_glue(args):
 
 def _cmd_witness(args):
     if args.infile:
+        _no_data_flags(args)
         eta = jsonio.two_form_from_json(_read_json(args.infile))
         result = is_realizable(eta)
         payload = {
@@ -199,6 +208,7 @@ def _cmd_scan(args):
 
 def _cmd_enum(args):
     if args.infile:
+        _no_data_flags(args)
         spec = jsonio.enumeration_spec_from_json(_read_json(args.infile))
     else:
         if args.n is None or args.u is None or args.d is None or args.bound is None:

@@ -18,7 +18,8 @@ JSON).  Every solved exact tau (``moebius``, ``glue``, ``is_realizable``) is
 one integer Cramer solve of F X = E for an integer period block (E | F), in
 ``_normalized_periods``.  The wedge expansion is the test reference
 (``tests/oracle.py``); both ``scan_ppav`` backends search with ``scan._walk``,
-the float one through ``scan._walk_chunks`` like ``enumerate_classes``.
+the float one through ``scan._walk_chunks`` like ``enumerate_classes``, with
+its residual rows bounding the walk's second-to-last free slot.
 """
 
 import cmath
@@ -430,10 +431,13 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     in [-bound, bound] that has a valid norm matrix at (u, d), which implies
     the (u, d) profile, and vanishes for tau, in lexicographic coefficient order.
     Both backends walk with ``scan._walk``, pruning on M J M = d M and the
-    trace: the exact one the box points of the vanishing lattice, the float
-    one the box, keeping the classes within the residual tolerance.  The
-    float walk is ``enumerate_classes``'s ``scan._walk_chunks``: one walk for
-    jobs <= 1, else one chunk per first coefficient in worker processes.
+    trace: the exact one the box points of the vanishing lattice, testing
+    each at the basis column that fixes it; the float one the box, where a
+    window per residual row (``scan._residual_windows``: tol plus a proven
+    binary64 margin) bounds the second-to-last free slot and ``_within``
+    decides each leaf.  The float walk is ``enumerate_classes``'s
+    ``scan._walk_chunks``: one walk for jobs <= 1, else one chunk per first
+    coefficient in worker processes.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
@@ -449,7 +453,7 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
         vectors = scan._walk(n, u, d, bound, True, _coefficient_lattice(tau)[1])
     else:
         rows = _float_rows(tau)
-        vectors = [vec for vec in scan._walk_chunks(n, u, d, bound, True, jobs)
+        vectors = [vec for vec in scan._walk_chunks(n, u, d, bound, True, jobs, (rows, tol))
                    if _within(rows, vec, tol)]
     reports = []
     for vec in sorted(vectors):

@@ -5,7 +5,7 @@ backends.  It fills the antisymmetric coefficient matrix M in place, slot by
 slot in row-major order of the upper triangle, so row r of M is complete
 once its last slot (r, 2n - 1) is set.  It walks the whole box, or the box
 points of a lattice (the exact scan's vanishing lattice, ``_lattice_steps``).
-Three exact tests prune it:
+Each test runs at the first node where its inputs are fixed:
 
 - the trace: certified (u, d) classes have antidiagonal sum -u d, a linear
   constraint that bounds each antidiagonal slot and fixes the last one;
@@ -18,12 +18,26 @@ Three exact tests prune it:
   satisfies N^2 = d N iff M J M = d M, that is (r_r J) . r_k = -d M_rk for
   all rows k < r.  It is checked as soon as row r is complete, and where the
   row's last entry enters it with a nonzero coefficient it is solved for
-  that entry instead of trying every value.
+  that entry instead of trying every value.  A lattice walk also runs each
+  identity (r, k), and the trace, at the pivot of the last basis column
+  touching their slots, which writes the forced slots it completes into M;
+- the residual (float scan): ``riemann._within`` keeps a leaf only if each
+  residual row has |b + c1 x1 + c2 x2| <= (tol + eps) S, where x1, x2 are
+  the last two slots the trace does not force, b holds the other slots with
+  the forced one substituted, and S = bound * sum |c|.  The real 2 x 2
+  system then puts x1 within |c2| (tol + eps) S / |D| of Im(conj(c2) b) / D,
+  D = Im(conj(c1) c2), so slot x1 tries only those integers (the radius
+  taken 1 + eps larger), and ``_within`` still decides each leaf.
+  eps = 2^-30 bounds the binary64 rounding of ``_within``, of b and of the
+  solve where |D| >= 2^-16 |c1| |c2| and |D| >= 2^-900; other rows get no
+  window, and none does when some S >= 2^1000, where ``_within`` may
+  overflow (``_residual_windows``).
 
 With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
 then 2u), and so fix its (u, d) profile.  The default profile-only mode
 accepts such leaves without computing a profile and runs ``check_class``
-only on the rest, since the profile alone does not imply idempotence.
+only on the rest, since the profile alone does not imply idempotence; at
+(n, u) = (2, 1) the profile forces the identity, so that walk prunes on it.
 Typed mode reads the type of its certified, primitive hits off the Smith
 invariants of M (``normend._smith_type``): no norm matrix, basis or frame.
 
@@ -39,7 +53,7 @@ A lattice walk counts its nodes instead and fails past
 import os
 from dataclasses import dataclass
 from functools import partial
-from math import gcd
+from math import ceil, floor, gcd, inf, isfinite
 from operator import mul
 
 from . import _intlinalg as la
@@ -107,24 +121,50 @@ def _row_holds(mat, i, n, d):
     return all(_pairing(ri, mat[k], n) + d * ri[k] == 0 for k in range(i))
 
 
-def _lattice_steps(dim, cols):
+def _lattice_steps(n, cols):
     """Per slot, how a walk over the lattice with echelon basis ``cols`` fills it.
 
     Column pivots (first nonzero entries) are positive and in increasing
     slots, as in ``la.kernel_basis``.  A pivot slot gets (pivot, the later
-    entries of its column, the later slots that column is the last to
-    touch); any other slot gets pivot 0: the chosen columns force its value.
+    entries of its column, the later slots that column is the last to touch,
+    the row pairs (i, k), k < i, of M J M = d M and whether the trace, whose
+    slots it is the last column to touch).  Any other slot gets pivot 0: the
+    chosen columns force its value.
     """
+    m, dim = 2 * n, n * (2 * n - 1)
+    slot = {p: r for r, p in enumerate(_pairs(n))}
     last_col = {r: k for k, col in enumerate(cols) for r in range(dim) if col[r]}
-    steps = [(0, (), ())] * dim
+    row_fix = [max(last_col.get(slot[min(i, j), max(i, j)], -1) for j in range(m) if j != i)
+               for i in range(m)]
+    trace_fix = max(last_col.get(slot[i, i + n], -1) for i in range(n))
+    steps = [(0, (), (), (), False)] * dim
     for k, col in enumerate(cols):
         p = next(r for r in range(dim) if col[r])
         steps[p] = (col[p], [(r, col[r]) for r in range(p + 1, dim) if col[r]],
-                    [r for r in range(p + 1, dim) if last_col.get(r) == k])
+                    [r for r in range(p + 1, dim) if last_col.get(r) == k],
+                    [(i, h) for i in range(m) for h in range(i) if max(row_fix[i], row_fix[h]) == k],
+                    k == trace_fix)
     return steps
 
 
-def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
+def _residual_windows(n, rows, tol, bound):
+    """The float scan's second-to-last free slot x1 and, per residual row that bounds it
+    (see the module docstring), (row, its entry at the forced slot, conj(c2) / D, radius)."""
+    eps = 2.0 ** -30
+    forced = _pairs(n).index((n - 1, 2 * n - 1))
+    free1, free2 = [r for r in range(n * (2 * n - 1)) if r != forced][-2:] if rows else (-1, -1)
+    sizes = [bound * sum(map(abs, row)) for row in rows]
+    windows = []
+    for row, size in zip(rows, sizes if max(sizes, default=0) < 2.0 ** 1000 else ()):
+        c1, c2 = row[free1], row[free2]
+        det = (c1.conjugate() * c2).imag
+        if isfinite(det) and abs(det) >= max(2.0 ** -900, abs(c1) * abs(c2) * 2.0 ** -16):
+            radius = abs(c2) / abs(det) * (tol + eps) * size * (1 + eps)
+            windows.append((row, row[forced] if forced > free1 else 0, c2.conjugate() / det, radius))
+    return free1, windows
+
+
+def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, residual=None):
     """Coefficient vectors of the primitive classes in the box, in walk order.
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
@@ -133,6 +173,8 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
     restricts the walk to its points; such a walk counts its nodes and
     raises ``BudgetExceeded`` past ``_LATTICE_NODE_BUDGET``.
     ``first_values`` restricts the first coefficient of a box walk.
+    ``residual``, the float scan's (``riemann._float_rows``, tol), restricts
+    a box walk's second-to-last free slot to ``_residual_windows``.
     """
     m = 2 * n
     pairs = _pairs(n)
@@ -149,12 +191,22 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
                  and idx < last else 0 for idx, (i, j) in enumerate(pairs)]
     solve_pf = not idempotent and u == n - 1
     head, whole = tuple(range(m - 2)), tuple(range(m))
-    steps = [None] * len(pairs) if lattice is None else _lattice_steps(len(pairs), lattice)
+    steps = [None] * len(pairs) if lattice is None else _lattice_steps(n, lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
     mat = la.zeros(m, m)
     vec = [0] * len(pairs)
     partial = [0] * len(pairs)  # each slot's sum over the lattice columns chosen so far
     found = []
+    free1, windows = _residual_windows(n, *residual, bound) if residual else (-1, ())
+
+    def window(trace):
+        """The values of slot free1 that leave each windowed residual row a completion."""
+        lo, hi = -bound, bound
+        for row, c_forced, w, radius in windows:
+            x = (w * (sum(map(mul, vec, row)) + (target - trace) * c_forced)).imag
+            if abs(x) + radius < inf:
+                lo, hi = max(lo, ceil(x - radius)), min(hi, floor(x + radius))
+        return range(lo, hi + 1)
 
     def row_solutions(i, values):
         """The values of M[i][m-1] (now 0) for which row i meets its identities."""
@@ -193,6 +245,19 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
         elif not idempotent and check_class(_form(n, key)) == (u, d):
             found.append(key)
 
+    def fixes(finals, checked, trace_fixed):
+        """Write the slots the chosen column completes into M, then run the tests it fixes."""
+        for r in finals:
+            x = partial[r]
+            if not -bound <= x <= bound:
+                return False
+            i, j = pairs[r]
+            mat[i][j], mat[j][i] = x, -x
+        if trace_fixed and sum(mat[k][n + k] for k in range(n)) != target:
+            return False
+        return not idempotent or all(_pairing(mat[i], mat[k], n) + d * mat[i][k] == 0
+                                     for i, k in checked)
+
     def dfs(idx, trace, holds):
         nonlocal nodes
         if idx > last:
@@ -201,17 +266,20 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
         i, j = pairs[idx]
         ri, rj = mat[i], mat[j]
         step = steps[idx]
+        piv = 0
         if step is None:  # a box slot
             values = first_values if idx == 0 and first_values is not None else span
-            tail = ()
+            if idx == free1 and windows:
+                values = window(trace)
         else:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"lattice walk exceeded its budget of {budget} nodes")
-            piv, tail, finals = step
+            piv, tail, finals, checked, trace_fixed = step
             base = partial[idx]
-            if not piv:  # forced by the columns already chosen
+            if not piv:  # forced by the columns already chosen; M holds it since the last one
                 values = (base,)
+                ri[j] = rj[i] = 0  # the solves below read the open slot as 0
             else:  # the pivot's residue class in [-bound, bound]
                 values = span if piv == 1 else range(base - (base + bound) // piv * piv, bound + 1, piv)
         if anti[idx]:
@@ -230,37 +298,39 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None):
             vec[idx] = a
             if rank_rows[idx] and la.rank_int(mat[:rank_rows[idx]]) > 2 * u:
                 continue
-            if tail:  # add the column's multiple to the later slots, bound-check the finished ones
+            if piv:  # add the column's multiple to the later slots, then run what it fixes
                 c = (a - base) // piv
                 for r, x in tail:
                     partial[r] += c * x
-                if not all(-bound <= partial[r] <= bound for r in finals):
+                if (finals or checked or trace_fixed) and not fixes(finals, checked, trace_fixed):
                     for r, x in tail:
                         partial[r] -= c * x
                     continue
             dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
-            if tail:
+            if piv:
                 for r, x in tail:
                     partial[r] -= c * x
         ri[j] = rj[i] = vec[idx] = 0
+        if step and not piv:  # the value the slot's last column wrote
+            ri[j], rj[i] = base, -base
 
     dfs(0, 0, True)
     del dfs  # a recursive closure is a reference cycle: free its state without the collector
     return found
 
 
-def _walk_chunks(n, u, d, bound, idempotent, jobs):
+def _walk_chunks(n, u, d, bound, idempotent, jobs, residual=None):
     """``_walk`` over the box: one walk for jobs <= 1, else one chunk per first coefficient.
 
     The 2 bound + 1 chunks run in min(jobs, 2 bound + 1) worker processes
     and come back in ascending first coefficient, so the result is the walk's.
     """
     if jobs <= 1:
-        return _walk(n, u, d, bound, idempotent)
+        return _walk(n, u, d, bound, idempotent, residual=residual)
     import concurrent.futures
 
     firsts = [(a,) for a in range(-bound, bound + 1)]
-    chunk = partial(_walk, n, u, d, bound, idempotent, None)
+    chunk = partial(_walk, n, u, d, bound, idempotent, None, residual=residual)
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as ex:
         return [vec for vectors in ex.map(chunk, firsts) for vec in vectors]
 
@@ -275,7 +345,7 @@ def enumerate_classes(spec, jobs=1):
     if n > 4 or bound > 3:
         raise RangeError("enumeration is desk scale: n <= 4, bound <= 3")
     _check_box_budget(n, bound, "candidate")
-    idempotent = spec.require_idempotent or spec.require_type is not None
+    idempotent = spec.require_idempotent or spec.require_type is not None or (n, u) == (2, 1)
     vectors = _walk_chunks(n, u, d, bound, idempotent, jobs)
     classes = [_form(n, vec) for vec in sorted(vectors)]
     if spec.require_type is not None:

@@ -348,6 +348,17 @@ def reference_float_scan(tau, u, d, bound, tol):
     return reports
 
 
+def reference_within_scan(tau, u, d, candidates, tol):
+    """Float ``scan_ppav`` with no walk: the idempotent ``reference_enumerate`` candidates
+    that ``riemann._within``, the float scan's decision, keeps on the reference residual rows."""
+    from nsforge.normend import _report, norm_from_class
+    from nsforge.riemann import _within
+
+    rows = reference_residual_rows(tau)[1]
+    return [_report(eta, norm_from_class(eta, u, d)) for eta in candidates
+            if _within(rows, eta.coefficient_vector(), tol)]
+
+
 def _box_lattice_points(basis_cols, bound, offset):
     """All vectors offset + (lattice point) with sup-norm <= bound.
 

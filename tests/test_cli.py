@@ -299,6 +299,29 @@ class TestErrors:
         self._assert_json_error(proc, "RangeError")
 
 
+class TestInDocumentOwnsItsData:
+    """``enum --in`` and ``witness --in`` refuse the data flags the document would override."""
+
+    DOCS = {"enum": {"n": 2, "u": 2, "d": 1, "bound": 1},
+            "witness": {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": -1}]}}
+
+    @pytest.mark.parametrize("flag", [["--n", "2"], ["--u", "1"], ["--d", "1"], ["--bound", "1"],
+                                      ["--type", "7"], ["--type", ""]])
+    @pytest.mark.parametrize("command", ["enum", "witness"])
+    def test_data_flag_beside_in_is_a_range_error(self, tmp_path, command, flag):
+        path = write_json(tmp_path, "doc.json", self.DOCS[command])
+        result = cli.run([command, "--in", path] + flag)
+        assert result.exit_code == 2
+        assert result.payload["error"]["code"] == "RangeError"
+        assert flag[0] in result.payload["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["enum", "witness"])
+    def test_in_alone_and_other_flags_still_run(self, tmp_path, command):
+        path = write_json(tmp_path, "doc.json", self.DOCS[command])
+        for extra in ([], ["--jobs", "1"], ["--seed", "3"]):
+            assert cli.run([command, "--in", path] + extra).exit_code == 0
+
+
 class TestWorkerPool:
     def test_enum_workers_capped_at_chunks(self, fake_pool):
         argv = ["enum", "--n", "2", "--u", "1", "--d", "1", "--bound", "1"]

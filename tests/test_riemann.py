@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
 from nsforge import (
+    EnumerationSpec,
     PeriodMatrix,
     QQi,
     TwoForm,
@@ -42,11 +45,13 @@ from nsforge._poly import IntPoly
 from conftest import constrained_shape_tau, sample_shape_tau, type22_class
 from oracle import (
     reference_coefficient_lattice,
+    reference_enumerate,
     reference_exact_scan,
     reference_float_scan,
     reference_residual_rows,
     reference_wedge_coefficients,
     reference_wedge_vanishes,
+    reference_within_scan,
 )
 
 
@@ -576,6 +581,111 @@ class TestSearchCore:
         tau = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
         with pytest.raises(BudgetExceeded, match="scan space 729 exceeds budget 100"):
             scan_ppav(tau, 1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def _idempotent_candidates(u, d, bound):
+    return tuple(reference_enumerate(EnumerationSpec(2, u, d, bound, require_idempotent=True)))
+
+
+def _perturbed(tau, rel, signs):
+    """The float image of an n = 2 tau with entry k of the upper triangle moved by signs[k] rel |e|."""
+    f = tau.to_float()
+    entries = [[complex(f.re[i][j], f.im[i][j]) for j in range(2)] for i in range(2)]
+    for (i, j), sign in zip(((0, 0), (0, 1), (1, 1)), signs):
+        entries[i][j] = entries[j][i] = entries[i][j] + sign * rel * abs(entries[i][j])
+    return PeriodMatrix.from_float(entries)
+
+
+def _window_bases():
+    """(exact tau, d) with known (1, d) hits: two witness conjugates and diag(i, 2i)."""
+    conjugates = [(moebius(random_symplectic(2, seed, 3), standard_witness(2, 1, (t,))[0]), t)
+                  for t, seed in ((2, 5), (1, 2))]
+    return conjugates + [(PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]]), 1)]
+
+
+class TestResidualWindow:
+    """The float walk's residual windows drop no leaf that ``riemann._within`` keeps."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3, 0.05])
+    def test_perturbed_witness_images_match_the_unwindowed_scan(self, fake_pool, tol):
+        hits = 0
+        for tau, d in _window_bases():
+            for rel, signs in ((tol / 2, (1, -1, 1j)), (2 * tol, (-1, 1j, -1j))):
+                ftau = _perturbed(tau, rel, signs)
+                for bound in (1, 2, 3):
+                    expected = reference_within_scan(ftau, 1, d, _idempotent_candidates(1, d, bound), tol)
+                    for jobs in (1, 2):
+                        assert scan_ppav(ftau, 1, d, bound, tol=tol, jobs=jobs) == expected
+                    hits += len(expected)
+        assert hits > 0 and set(fake_pool) == {2}
+
+    def test_unperturbed_images_keep_the_exact_hits(self):
+        for tau, d in _window_bases():
+            exact = [r.eta for r in scan_ppav(tau, 1, d, 2)]
+            assert exact and [r.eta for r in scan_ppav(tau.to_float(), 1, d, 2)] == exact
+
+    @pytest.mark.parametrize("scale", [1e100, 1e151])
+    def test_huge_residual_rows(self, scale):
+        """Entries near 1e100 get a window; rows of size above 2^1000 get none."""
+        tau = PeriodMatrix.from_float([[scale * 1j, 0], [0, 3 * scale * 1j]])
+        assert bool(scan._residual_windows(2, riemann._float_rows(tau), 1e-9, 2)[1]) == (scale < 1e150)
+        for bound in (1, 2):
+            expected = reference_within_scan(tau, 1, 1, _idempotent_candidates(1, 1, bound), 1e-9)
+            assert scan_ppav(tau, 1, 1, bound) == expected
+
+    def test_windows_leave_few_leaves_to_decide(self, monkeypatch):
+        """The seeded generic tau: the walk hands ``_within`` a few leaves, not 1,194."""
+        calls = []
+        original = riemann._within
+        monkeypatch.setattr(riemann, "_within", lambda *a: calls.append(a) or original(*a))
+        assert scan_ppav(_float_scan_taus()[0], 1, 1, 3) == []
+        assert len(calls) < 50
+
+
+class TestLatticeTests:
+    """The lattice walk runs each row identity and the trace at the pivot that fixes them."""
+
+    def test_each_test_sits_at_the_pivot_of_the_last_column_touching_it(self):
+        for tau in (type22_class_tau(), _exact_scan_taus()[5]):
+            n, lattice = tau.n, riemann._coefficient_lattice(tau)[1]
+            pairs, steps = scan._pairs(n), scan._lattice_steps(n, lattice)
+
+            def fixing_pivot(slots):
+                touching = [col for col in lattice if any(col[r] for r in slots)]
+                return next(r for r, x in enumerate(touching[-1]) if x) if touching else None
+
+            def row(i):
+                return [r for r, p in enumerate(pairs) if i in p]
+
+            placed = {(i, k): fixing_pivot(row(i) + row(k)) for i in range(2 * n) for k in range(i)}
+            assert {(i, k): p for p, step in enumerate(steps) for i, k in step[3]} == {
+                key: p for key, p in placed.items() if p is not None}
+            trace = fixing_pivot([pairs.index((i, i + n)) for i in range(n)])
+            assert [p for p, step in enumerate(steps) if step[4]] == [trace]
+
+    def test_golden_scan_fits_a_small_node_budget(self, monkeypatch):
+        tau = type22_class_tau()
+        expected = reference_exact_scan(tau, 2, 2, 1)
+        monkeypatch.setattr(scan, "_LATTICE_NODE_BUDGET", 1_000)
+        assert scan_ppav(tau, 2, 2, 1) == expected
+
+    def test_golden_bound_two_scan(self):
+        """The 36 (2, 2) classes of the golden witness with |a| <= 2, each checked by the oracle."""
+        tau = type22_class_tau()
+        reports = scan_ppav(tau, 2, 2, 2)
+        assert len(reports) == 36
+        j = la.standard_j(4)
+        for r in reports:
+            vec = r.eta.coefficient_vector()
+            m = [list(row) for row in r.eta.mat]
+            assert max(map(abs, vec)) <= 2 and gcd(*vec) == 1 and (r.u, r.d) == (2, 2)
+            assert la.mat_mul(la.mat_mul(m, j), m) == la.mat_scale(2, m)
+            assert sum(m[i][i + 4] for i in range(4)) == -4
+            assert reference_wedge_vanishes(r.eta, tau)
+        etas = [r.eta for r in reports]
+        assert type22_class() in etas
+        assert all(r.eta in etas for r in scan_ppav(tau, 2, 2, 1))
 
 
 class TestTolerance:

@@ -260,6 +260,19 @@ class TestWalkerWork:
         monkeypatch.setattr(scan, "la", proxy)
         assert enumerate_classes(spec) == expected
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_profile_only_unit_surface_walks_idempotent(self, monkeypatch, d):
+        """At (n, u) = (2, 1) a (1, d) profile forces M J M = d M: profile-only, idempotent and
+        the reference agree, and the walk solves no Pfaffian."""
+        calls = []
+        original = scan._sub_pfaffian
+        monkeypatch.setattr(scan, "_sub_pfaffian", lambda *args: calls.append(args) or original(*args))
+        for bound in (1, 2, 3):
+            profile = enumerate_classes(EnumerationSpec(2, 1, d, bound))
+            assert profile == enumerate_classes(EnumerationSpec(2, 1, d, bound, require_idempotent=True))
+            assert calls == []
+            assert profile == reference_enumerate(EnumerationSpec(2, 1, d, bound))
+
     def test_idempotent_mode_certifies_hits_at_most_once(self, monkeypatch):
         """The walker certifies typed hits (M J M = d M, trace -u d, gcd 1): none is re-verified."""
         calls = _count_calls(monkeypatch, normend.norm_from_class)
