@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive result, 1 for a well-posed negative answer
 (for example a vanishing test that fails), 2 for any usage or input error.
-Errors are emitted as one JSON document on stderr.  ``--jobs`` reaches
+Errors are emitted as one JSON document on stderr; a flag the subcommand
+does not declare (``_COMMANDS``) is a ``Usage`` error.  ``--jobs`` reaches
 ``enumerate_classes`` (``enum``) and ``scan_ppav`` (``scan``), whose float
 box walk it splits into worker processes; the output does not depend on it.
 """
@@ -18,14 +19,7 @@ from .errors import DimensionMismatch, NotPrimitiveModL, NsforgeError, RangeErro
 from .exterior import check_class, check_class_mod_L, intersection_profile
 from .humbert import SingularDatum, eta_from_singular, humbert_relation, singular_from_eta
 from .normend import analyze, norm_from_class, polynomial_certificate
-from .riemann import (
-    DEFAULT_TOL,
-    PeriodMatrix,
-    residual_matrix,
-    scan_ppav,
-    symbolic_relations,
-    wedge_vanishes,
-)
+from .riemann import DEFAULT_TOL, residual_matrix, scan_ppav, symbolic_relations, wedge_vanishes
 from .scan import EnumerationSpec, enumerate_classes
 from .symplectic import act, random_symplectic
 
@@ -55,9 +49,8 @@ def _read_json(path):
 
 
 def _no_data_flags(args):
-    """An ``--in`` document carries its own data: refuse ``--n/--u/--d/--bound/--type`` beside it."""
-    flags = [f"--{name}" for name, value in (("n", args.n), ("u", args.u), ("d", args.d),
-             ("bound", args.bound), ("type", args.type_divisors)) if value is not None]
+    """An ``--in`` document carries its own data: refuse the command's data flags beside it."""
+    flags = [f for f in _COMMANDS[args.command].data if getattr(args, f[2:]) is not None]
     if flags:
         raise RangeError(f"{args.command} --in takes its data from the document, not {' '.join(flags)}")
 
@@ -69,44 +62,45 @@ def _parse_type(text):
         raise RangeError(f"cannot parse type {text!r}")
 
 
+class _UsageError(NsforgeError):
+    code = "Usage"
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's message becomes the JSON diagnostic, not usage text
+        raise _UsageError(message)
+
+
+# every flag's add_argument keywords; each subcommand declares the ones its handler reads
+_FLAGS = {
+    "--in": {"dest": "infile", "help": "input JSON file, '-' for stdin"},
+    "--out": {"dest": "outfile", "help": "output file (default stdout)"},
+    "--n": {"type": int},
+    "--u": {"type": int},
+    "--d": {"type": int},
+    "--bound": {"type": int},
+    "--type": {},
+    "--tau": {"help": "period matrix JSON file"},
+    "--tol": {"type": float, "default": DEFAULT_TOL},
+    "--backend": {"choices": ["exact", "float"],
+                  "help": "force the period-matrix backend (float downgrades exact input)"},
+    "--jobs": {"type": int, "default": 1},
+    "--s": {"dest": "sfile", "help": "JSON file with {'S': [[...]]}"},
+    "--seed": {"type": int, "default": 0},
+    "--word-length": {"type": int, "default": 12},
+}
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nsforge",
         description="Numerical divisor classes of abelian subvarieties: "
                     "detection, certification, and construction.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, tau=False):
-        p.add_argument("--in", dest="infile", help="input JSON file, '-' for stdin")
-        p.add_argument("--out", dest="outfile", help="output file (default stdout)")
-        p.add_argument("--n", type=int)
-        p.add_argument("--u", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--bound", type=int)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--backend", choices=["exact", "float"], default=None,
-                       help="force the period-matrix backend (float downgrades exact input)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--type", dest="type_divisors")
-        p.add_argument("--word-length", type=int, default=12)
-        if tau:
-            p.add_argument("--tau", help="period matrix JSON file")
-        return p
-
-    common(sub.add_parser("profile", help="intersection numbers against the principal class"))
-    common(sub.add_parser("check", help="profile certification and the mod-L invariants"))
-    common(sub.add_parser("norm", help="norm matrix with polynomial certificates"))
-    common(sub.add_parser("analyze", help="full subvariety report"))
-    common(sub.add_parser("analytic", help="vanishing test against a period matrix"), tau=True)
-    common(sub.add_parser("relations", help="polynomial relations on the half space"))
-    common(sub.add_parser("glue", help="glue two polarized factors"))
-    common(sub.add_parser("witness", help="standard witness or realizability check"))
-    common(sub.add_parser("scan", help="detect bounded classes on a period matrix"), tau=True)
-    common(sub.add_parser("enum", help="enumerate bounded candidate classes"))
-    common(sub.add_parser("humbert", help="singular datum / class / relation dictionary"))
-    p_act = common(sub.add_parser("act", help="apply an integral symplectic matrix"))
-    p_act.add_argument("--s", dest="sfile", help="JSON file with {'S': [[...]]}")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags + command.data:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -189,9 +183,9 @@ def _cmd_witness(args):
             "tau": jsonio.period_matrix_to_json(result.tau) if result.tau else None,
         }
         return CommandResult("ok" if result else "negative", payload)
-    if not (args.n and args.u and args.type_divisors):
+    if not (args.n and args.u and args.type):
         raise RangeError("witness needs --in, or --n --u --type")
-    tau, eta = standard_witness(args.n, args.u, _parse_type(args.type_divisors))
+    tau, eta = standard_witness(args.n, args.u, _parse_type(args.type))
     payload = {"tau": jsonio.period_matrix_to_json(tau), "eta": jsonio.two_form_to_json(eta)}
     return CommandResult("ok", payload)
 
@@ -214,7 +208,7 @@ def _cmd_enum(args):
         if args.n is None or args.u is None or args.d is None or args.bound is None:
             raise RangeError("enum needs --in, or --n --u --d --bound")
         spec = EnumerationSpec(args.n, args.u, args.d, args.bound,
-                               require_type=_parse_type(args.type_divisors or "") or None)
+                               require_type=_parse_type(args.type or "") or None)
     classes = enumerate_classes(spec, args.jobs)
     return CommandResult("ok", {"classes": [jsonio.two_form_to_json(e) for e in classes]})
 
@@ -245,37 +239,44 @@ def _cmd_act(args):
     return CommandResult("ok", {"eta": jsonio.two_form_to_json(moved), "S": s_mat})
 
 
+@dataclass(frozen=True)
+class _Command:
+    handler: object
+    help: str
+    flags: tuple  # what the handler reads; argparse refuses every other flag
+    data: tuple = ()  # what an --in document carries instead: refused beside --in
+
+
+_IO = ("--in", "--out")
 _COMMANDS = {
-    "profile": _cmd_profile,
-    "check": _cmd_check,
-    "norm": _cmd_norm,
-    "analyze": _cmd_analyze,
-    "analytic": _cmd_analytic,
-    "relations": _cmd_relations,
-    "glue": _cmd_glue,
-    "witness": _cmd_witness,
-    "scan": _cmd_scan,
-    "enum": _cmd_enum,
-    "humbert": _cmd_humbert,
-    "act": _cmd_act,
+    "profile": _Command(_cmd_profile, "intersection numbers against the principal class", _IO),
+    "check": _Command(_cmd_check, "profile certification and the mod-L invariants", _IO),
+    "norm": _Command(_cmd_norm, "norm matrix with polynomial certificates", _IO + ("--u", "--d")),
+    "analyze": _Command(_cmd_analyze, "full subvariety report", _IO),
+    "analytic": _Command(_cmd_analytic, "vanishing test against a period matrix",
+                         _IO + ("--tau", "--tol", "--backend")),
+    "relations": _Command(_cmd_relations, "polynomial relations on the half space", _IO),
+    "glue": _Command(_cmd_glue, "glue two polarized factors", _IO),
+    "witness": _Command(_cmd_witness, "standard witness or realizability check", _IO,
+                        ("--n", "--u", "--type")),
+    "scan": _Command(_cmd_scan, "detect bounded classes on a period matrix",
+                     ("--out", "--tau", "--u", "--d", "--bound", "--tol", "--backend", "--jobs")),
+    "enum": _Command(_cmd_enum, "enumerate bounded candidate classes", _IO + ("--jobs",),
+                     ("--n", "--u", "--d", "--bound", "--type")),
+    "humbert": _Command(_cmd_humbert, "singular datum / class / relation dictionary", _IO),
+    "act": _Command(_cmd_act, "apply an integral symplectic matrix",
+                    _IO + ("--s", "--seed", "--word-length")),
 }
 
 
 def _run(argv):
-    """Parse once and execute: the CommandResult and the --out path, if one was parsed."""
-    parser = _build_parser()
+    """Parse and execute: the CommandResult and the --out path (None on an error)."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:  # --help and friends
-            raise
-        return CommandResult("error", {"error": {"code": "Usage", "message": "bad arguments"}}), None
-    try:
-        result = _COMMANDS[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command].handler(args), args.outfile
     except Exception as exc:  # malformed input must not escape as a traceback
         code = exc.code if isinstance(exc, NsforgeError) else type(exc).__name__
-        result = CommandResult("error", {"error": {"code": code, "message": str(exc)}})
-    return result, args.outfile
+        return CommandResult("error", {"error": {"code": code, "message": str(exc)}}), None
 
 
 def run(argv):

@@ -26,6 +26,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
+from operator import add, sub
 
 from . import _intlinalg as la
 from . import scan
@@ -178,7 +179,8 @@ def wedge_vanishes(eta, tau, tol=DEFAULT_TOL):
     """
     _check_tol(tol)
     if tau.backend == EXACT:
-        return _exact_vanishes(eta, tau)
+        _, re, im = _int_residual(eta, tau)
+        return not any(map(any, re + im))
     if eta.n != tau.n:
         raise DimensionMismatch("form and period matrix sizes differ")
     return _within(_float_rows(tau), eta.coefficient_vector(), tol)
@@ -259,24 +261,32 @@ def _minors(p, r, s, pairs):
     return [pr[i] * ps[j] - pr[j] * ps[i] for i, j in pairs]
 
 
-def _int_residual(eta, tau):
-    """q^2 and the integer matrices Re, Im of q^2 R for an exact tau.
+def _int_rows(tau, pairs):
+    """The entries k < l of q^2 R as integer rows on the basis 2-forms ``pairs``: Re, then Im.
 
-    With the period block Q and S = Q M Q^T: Re = S11 - S22, Im = S12 + S21.
+    Entry (r, s) of S = Q M Q^T, Q the period block, is the minor [r, s] on M's coefficients;
+    Re = S11 - S22 is [k, l] - [n+k, n+l] and Im = S12 + S21 is [k, n+l] + [n+k, l].
     """
+    n, block = tau.n, _period_block(tau)
+    return [list(map(op, _minors(block, k, s, pairs), _minors(block, n + k, t, pairs)))
+            for k in range(n) for l in range(k + 1, n)
+            for op, s, t in ((sub, l, n + l), (add, n + l, l))]
+
+
+def _int_residual(eta, tau):
+    """q^2 and the integer matrices Re, Im of q^2 R for an exact tau, from eta's nonzero slots."""
     n = tau.n
     if eta.n != n:
         raise DimensionMismatch("form and period matrix sizes differ")
-    block = _period_block(tau)
-    s = la.mat_mul(la.mat_mul(block, eta.mat), la.transpose(block))
-    re = [[s[k][l] - s[n + k][n + l] for l in range(n)] for k in range(n)]
-    im = [[s[k][n + l] + s[n + k][l] for l in range(n)] for k in range(n)]
+    slots = [(p, a) for p, a in zip(_pairs(n), eta.coefficient_vector()) if a]
+    rows = iter(_int_rows(tau, [p for p, _ in slots]))
+    re, im = la.zeros(n, n), la.zeros(n, n)
+    for k in range(n):
+        for l in range(k + 1, n):
+            for part in (re, im):
+                part[k][l] = sum(a * m for (_, a), m in zip(slots, next(rows)))
+                part[l][k] = -part[k][l]
     return tau.q * tau.q, re, im
-
-
-def _exact_vanishes(eta, tau):
-    _, re, im = _int_residual(eta, tau)
-    return not any(map(any, re + im))
 
 
 def residual_matrix(eta, tau):
@@ -405,23 +415,10 @@ def _float_rank(mat, tol):
 
 
 def _coefficient_lattice(tau):
-    """Saturated integer lattice of 2-forms vanishing at an exact tau.
-
-    The map sends the packed coefficients to Re and Im of the strictly-upper
-    entries (k, l) of q^2 R; in the minors [r, s] of the period block they are
-    [k, l] - [n+k, n+l] and [k, n+l] + [n+k, l].  The kernel ignores q^2.
-    """
-    n = tau.n
-    pairs = _pairs(n)
-    block = _period_block(tau)
-    rows = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            rows.append([x - y for x, y in zip(_minors(block, k, l, pairs),
-                                               _minors(block, n + k, n + l, pairs))])
-            rows.append([x + y for x, y in zip(_minors(block, k, n + l, pairs),
-                                               _minors(block, n + k, l, pairs))])
-    return pairs, la.kernel_basis(rows or [[0] * len(pairs)])  # n = 1: no rows, every form vanishes
+    """Saturated integer lattice of 2-forms vanishing at an exact tau: the kernel of
+    ``_int_rows`` on every slot, which ignores q^2 (n = 1: no rows, every form vanishes)."""
+    pairs = _pairs(tau.n)
+    return pairs, la.kernel_basis(_int_rows(tau, pairs) or [[0] * len(pairs)])
 
 
 def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):

@@ -45,7 +45,7 @@ invariants of M (``normend._smith_type``): no norm matrix, basis or frame.
 ``_walk_chunks``: one walk for jobs <= 1, else one walk per first
 coefficient in worker processes, with the same result.  The raw box grows
 as (2 bound + 1)^(n (2n - 1)), so both refuse one above a hard budget
-instead of hanging (raise it with the NSFORGE_BUDGET environment variable).
+instead of hanging (raise it with the integer NSFORGE_BUDGET environment variable).
 A lattice walk counts its nodes instead and fails past
 ``_LATTICE_NODE_BUDGET``.
 """
@@ -88,10 +88,11 @@ _LATTICE_NODE_BUDGET = 20_000_000  # nodes of one lattice walk (the exact scan)
 
 def _check_box_budget(n, bound, noun):
     """Refuse a raw box of (2 bound + 1)^(n (2n - 1)) points above the budget."""
+    text = os.environ.get("NSFORGE_BUDGET", "2000000")
     try:
-        budget = int(os.environ.get("NSFORGE_BUDGET", "2000000"))
+        budget = int(text)
     except ValueError:
-        budget = 2_000_000
+        raise RangeError(f"NSFORGE_BUDGET must be an integer, not {text!r}") from None
     est = (2 * bound + 1) ** (n * (2 * n - 1))
     if est > budget:
         raise BudgetExceeded(f"{noun} space {est} exceeds budget {budget}")

@@ -310,8 +310,8 @@ def reference_coefficient_lattice(tau):
 
 
 def reference_float_scan(tau, u, d, bound, tol):
-    """Float ``scan_ppav``: the residual filter over every box point, certification, then
-    the decision of the reference expansion."""
+    """Float ``scan_ppav`` over every box point: the size-scaled decision on the reference
+    residual rows, then certification."""
     import itertools
 
     from nsforge.errors import NsforgeError
@@ -320,21 +320,9 @@ def reference_float_scan(tau, u, d, bound, tol):
 
     n = tau.n
     pairs, rows = reference_residual_rows(tau)
-    limit = reference_float_limit(tau, tol)
     reports = []
     for vec in itertools.product(range(-bound, bound + 1), repeat=len(pairs)):
-        if not any(vec):
-            continue
-        ok = True
-        for row in rows:
-            acc = 0j
-            for coef, a in zip(row, vec):
-                if a:
-                    acc += a * coef
-            if abs(acc) > limit:
-                ok = False
-                break
-        if not ok:
+        if not any(vec) or not reference_scaled_vanishes(rows, vec, tol):
             continue
         eta = TwoForm.from_coeffs(n, {p: a for p, a in zip(pairs, vec) if a})
         if not is_primitive(eta):
@@ -343,9 +331,23 @@ def reference_float_scan(tau, u, d, bound, tol):
             norm = norm_from_class(eta, u, d)
         except NsforgeError:
             continue
-        if reference_wedge_vanishes(eta, tau, tol):
-            reports.append(_report(eta, norm))
+        reports.append(_report(eta, norm))
     return reports
+
+
+def reference_scaled_vanishes(rows, vec, tol):
+    """Every residual entry |sum a m| is at most tol * sum |a m|, its terms a m taken in
+    coefficient order: the float decision of the package, written out independently."""
+    for row in rows:
+        total, size = 0j, 0.0
+        for m, a in zip(row, vec):
+            if a:
+                term = a * m
+                total += term
+                size += abs(term)
+        if not abs(total) <= tol * size:
+            return False
+    return True
 
 
 def reference_within_scan(tau, u, d, candidates, tol):

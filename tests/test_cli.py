@@ -290,6 +290,15 @@ class TestErrors:
         proc = run_cli(["enum", "--in", write_json(tmp_path, "s.json", spec)])
         self._assert_json_error(proc, "RangeError")
 
+    def test_malformed_budget_is_a_range_error(self, monkeypatch):
+        # not an integer: refused, not read as the default 2,000,000 that n = 3 exceeds
+        monkeypatch.setenv("NSFORGE_BUDGET", "1e9")
+        result = cli.run(["enum", "--n", "3", "--u", "1", "--d", "3", "--bound", "1",
+                          "--type", "3"])
+        assert result.exit_code == 2
+        assert result.payload["error"]["code"] == "RangeError"
+        assert "NSFORGE_BUDGET" in result.payload["error"]["message"]
+
     @pytest.mark.parametrize("u", ["0", "3"])
     def test_scan_u_out_of_range(self, tmp_path, u):
         tau = {"n": 2, "backend": "exact",
@@ -312,14 +321,88 @@ class TestInDocumentOwnsItsData:
         path = write_json(tmp_path, "doc.json", self.DOCS[command])
         result = cli.run([command, "--in", path] + flag)
         assert result.exit_code == 2
-        assert result.payload["error"]["code"] == "RangeError"
+        # witness reads no --d or --bound at all, so argparse refuses them as usage errors
+        unread = command == "witness" and flag[0] in ("--d", "--bound")
+        assert result.payload["error"]["code"] == ("Usage" if unread else "RangeError")
         assert flag[0] in result.payload["error"]["message"]
 
     @pytest.mark.parametrize("command", ["enum", "witness"])
     def test_in_alone_and_other_flags_still_run(self, tmp_path, command):
         path = write_json(tmp_path, "doc.json", self.DOCS[command])
-        for extra in ([], ["--jobs", "1"], ["--seed", "3"]):
+        for extra in ([], ["--jobs", "1"]) if command == "enum" else ([],):
             assert cli.run([command, "--in", path] + extra).exit_code == 0
+
+
+class TestDeclaredFlags:
+    """Each subcommand declares exactly the flags its handler reads; argparse refuses the rest."""
+
+    IO = {"--in", "--out"}
+    DECLARED = {
+        "profile": IO, "check": IO, "analyze": IO, "relations": IO, "glue": IO, "humbert": IO,
+        "norm": IO | {"--u", "--d"},
+        "analytic": IO | {"--tau", "--tol", "--backend"},
+        "witness": IO | {"--n", "--u", "--type"},
+        "scan": {"--out", "--tau", "--u", "--d", "--bound", "--tol", "--backend", "--jobs"},
+        "enum": IO | {"--n", "--u", "--d", "--bound", "--type", "--jobs"},
+        "act": IO | {"--s", "--seed", "--word-length"},
+    }
+    # a value each flag parses; --in, --out, --tau and --s name a file that does not exist
+    VALUES = {"--n": "1", "--u": "1", "--d": "1", "--bound": "1", "--jobs": "1", "--seed": "1",
+              "--word-length": "1", "--tol": "0", "--backend": "float", "--type": "1"}
+    FLAGS = set(VALUES) | {"--in", "--out", "--tau", "--s"}
+
+    @pytest.mark.parametrize("command", sorted(DECLARED))
+    def test_declared_flags_parse(self, tmp_path, command):
+        for flag in sorted(self.DECLARED[command]):
+            value = self.VALUES.get(flag, str(tmp_path / "missing.json"))
+            # alone, each flag leaves the handler short of input: an error, but not a usage error
+            result = cli.run([command, flag, value])
+            assert result.exit_code == 2
+            assert result.payload["error"]["code"] != "Usage", (flag, result.payload)
+
+    @pytest.mark.parametrize("command", sorted(DECLARED))
+    def test_undeclared_flags_are_usage_errors(self, capsys, command):
+        for flag in sorted(self.FLAGS - self.DECLARED[command]):
+            value = self.VALUES.get(flag, "x.json")
+            assert cli.main([command, flag, value]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            message = f"unrecognized arguments: {flag} {value}"
+            assert json.loads(err) == {"error": {"code": "Usage", "message": message}}
+
+    def test_unread_flags_beside_in_are_refused(self, tmp_path):
+        docs = TestInDocumentOwnsItsData.DOCS
+        for command, extra in (("witness", ["--jobs", "1"]), ("witness", ["--seed", "3"]),
+                               ("enum", ["--seed", "3"]), ("scan", [])):
+            path = write_json(tmp_path, "doc.json", docs.get(command, ETA0))
+            result = cli.run([command, "--in", path] + extra)
+            assert result.exit_code == 2
+            assert result.payload["error"]["code"] == "Usage"
+            assert (extra or ["--in"])[0] in result.payload["error"]["message"]
+
+    def test_usage_error_is_one_json_document(self, tmp_path):
+        proc = run_cli(["check", "--in", write_json(tmp_path, "e.json", ETA0), "--u", "3"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr) == {"error": {"code": "Usage",
+                                                     "message": "unrecognized arguments: --u 3"}}
+
+    def test_parse_errors_carry_argparse_message(self):
+        for argv, message in (([], "the following arguments are required: command"),
+                              (["enum", "--n", "x"], "argument --n: invalid int value: 'x'")):
+            result = cli.run(argv)
+            assert result.payload == {"error": {"code": "Usage", "message": message}}
+
+    def test_unique_prefix_within_the_subcommand(self):
+        # enum declares --bound but not --backend, so --b names one flag
+        argv = ["enum", "--n", "2", "--u", "1", "--d", "1"]
+        assert cli.run(argv + ["--b", "1"]) == cli.run(argv + ["--bound", "1"])
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--help"])
+        assert exc.value.code == 0
+        assert "--tau" in capsys.readouterr().out
 
 
 class TestWorkerPool:

@@ -533,9 +533,12 @@ class TestSearchCore:
     @pytest.mark.parametrize("u,d,bound", [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2),
                                            (1, 2, 2), (2, 2, 2), (1, 1, 3), (2, 1, 3)])
     def test_float_scan_matches_full_box_reference(self, u, d, bound):
-        for tau in _float_scan_taus():
-            expected = reference_float_scan(tau, u, d, bound, riemann.DEFAULT_TOL)
-            assert scan_ppav(tau, u, d, bound) == expected
+        taus = _float_scan_taus()
+        # and the (2, 1, (2,)) witness conjugate at tol = 0: at (1, 2, 2) it has 3 hits, of
+        # which an absolute limit tol * (1 + max |tau_kl|)^2 would keep only 1
+        for tau, tol in [(tau, riemann.DEFAULT_TOL) for tau in taus] + [(taus[-1], 0.0)]:
+            expected = reference_float_scan(tau, u, d, bound, tol)
+            assert scan_ppav(tau, u, d, bound, tol=tol) == expected
 
     def test_float_scan_partitioned_matches_reference(self, fake_pool):
         for tau in _float_scan_taus():

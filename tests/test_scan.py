@@ -4,6 +4,7 @@ import pytest
 
 from nsforge import (
     EnumerationSpec,
+    PeriodMatrix,
     TwoForm,
     act,
     check_class,
@@ -12,6 +13,7 @@ from nsforge import (
     is_primitive,
     orbit_equivalent,
     random_symplectic,
+    scan_ppav,
     standard_witness,
     theta,
 )
@@ -43,6 +45,15 @@ class TestEnumerate:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             enumerate_classes(EnumerationSpec(4, 2, 2, 1))
+
+    @pytest.mark.parametrize("value", ["1e9", "", "lots"])
+    def test_malformed_budget_is_a_range_error(self, monkeypatch, value):
+        """A budget that is not an integer is refused, not replaced by the default."""
+        monkeypatch.setenv("NSFORGE_BUDGET", value)
+        with pytest.raises(RangeError, match="NSFORGE_BUDGET"):
+            enumerate_classes(EnumerationSpec(2, 1, 1, 1))
+        with pytest.raises(RangeError, match="NSFORGE_BUDGET"):
+            scan_ppav(PeriodMatrix.from_float([[1j, 0], [0, 2j]]), 1, 1, 1)
 
     def test_region_guard(self):
         with pytest.raises(RangeError):
