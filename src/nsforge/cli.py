@@ -126,8 +126,9 @@ def _cmd_check(args):
 
 
 def _cmd_norm(args):
-    eta = jsonio.two_form_from_json(_read_json(args.infile))
-    norm = norm_from_class(eta, args.u, args.d) if args.u and args.d else norm_from_class(eta)
+    if (args.u is None) != (args.d is None):
+        raise RangeError("norm needs both --u and --d, or neither")
+    norm = norm_from_class(jsonio.two_form_from_json(_read_json(args.infile)), args.u, args.d)
     payload = jsonio.norm_to_json(norm)
     payload["certificate"] = polynomial_certificate(norm)
     return CommandResult("ok", payload)
@@ -269,14 +270,18 @@ _COMMANDS = {
 }
 
 
+def _error(exc):
+    code = exc.code if isinstance(exc, NsforgeError) else type(exc).__name__
+    return CommandResult("error", {"error": {"code": code, "message": str(exc)}})
+
+
 def _run(argv):
     """Parse and execute: the CommandResult and the --out path (None on an error)."""
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command].handler(args), args.outfile
     except Exception as exc:  # malformed input must not escape as a traceback
-        code = exc.code if isinstance(exc, NsforgeError) else type(exc).__name__
-        return CommandResult("error", {"error": {"code": code, "message": str(exc)}}), None
+        return _error(exc), None
 
 
 def run(argv):
@@ -286,14 +291,14 @@ def run(argv):
 
 def main(argv=None):
     result, outfile = _run(sys.argv[1:] if argv is None else list(argv))
-    text = jsonio.dumps(result.payload)
-    if result.status == "error":
-        sys.stderr.write(text)
-    elif outfile:
-        with open(outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if outfile:
+        try:
+            with open(outfile, "w", encoding="utf-8") as fh:
+                fh.write(jsonio.dumps(result.payload))
+            return result.exit_code
+        except OSError as exc:  # a missing directory, no permission
+            result = _error(RangeError(f"cannot write {outfile}: {exc.strerror or exc}"))
+    (sys.stderr if result.status == "error" else sys.stdout).write(jsonio.dumps(result.payload))
     return result.exit_code
 
 

@@ -18,8 +18,8 @@ JSON).  Every solved exact tau (``moebius``, ``glue``, ``is_realizable``) is
 one integer Cramer solve of F X = E for an integer period block (E | F), in
 ``_normalized_periods``.  The wedge expansion is the test reference
 (``tests/oracle.py``); both ``scan_ppav`` backends search with ``scan._walk``,
-the float one through ``scan._walk_chunks`` like ``enumerate_classes``, with
-its residual rows bounding the walk's second-to-last free slot.
+the exact one over the vanishing lattice, the float one over the box (the
+identity lattice) like ``enumerate_classes``, its residual rows bounding a slot.
 """
 
 import cmath
@@ -427,14 +427,13 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     Returns the analyze report of every primitive 2-form with coefficients
     in [-bound, bound] that has a valid norm matrix at (u, d), which implies
     the (u, d) profile, and vanishes for tau, in lexicographic coefficient order.
-    Both backends walk with ``scan._walk``, pruning on M J M = d M and the
-    trace: the exact one the box points of the vanishing lattice, testing
-    each at the basis column that fixes it; the float one the box, where a
-    window per residual row (``scan._residual_windows``: tol plus a proven
-    binary64 margin) bounds the second-to-last free slot and ``_within``
-    decides each leaf.  The float walk is ``enumerate_classes``'s
-    ``scan._walk_chunks``: one walk for jobs <= 1, else one chunk per first
-    coefficient in worker processes.
+    Both backends walk with ``scan._walk``, testing M J M = d M and the
+    trace at the step that fixes them: the exact one over the vanishing
+    lattice, the float one over the box, the identity lattice, where a window
+    per residual row (``scan._residual_windows``: tol plus a proven binary64
+    margin) bounds one slot and ``_within`` decides each leaf.  The float
+    walk is ``enumerate_classes``'s ``scan._walk_chunks``: one walk for
+    jobs <= 1, else one chunk per value of slot 0 in worker processes.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")

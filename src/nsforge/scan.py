@@ -1,58 +1,58 @@
 """Bounded enumeration of candidate classes, period-matrix free.
 
 One walker, ``_walk``, serves ``enumerate_classes`` and both ``scan_ppav``
-backends.  It fills the antisymmetric coefficient matrix M in place, slot by
-slot in row-major order of the upper triangle, so row r of M is complete
-once its last slot (r, 2n - 1) is set.  It walks the whole box, or the box
-points of a lattice (the exact scan's vanishing lattice, ``_lattice_steps``).
-Each test runs at the first node where its inputs are fixed:
+backends on one schedule, ``_lattice_steps``.  It walks the box points of a
+lattice with an echelon basis: the exact scan's vanishing lattice, or the
+identity basis, whose points are the whole box.  It fills the antisymmetric
+coefficient matrix M in place, slot by slot in row-major order of the upper
+triangle: a column's pivot slot tries the pivot's residue class, and then
+the slots the column is the last to touch are complete.  Each test runs at
+the step that fixes its inputs, as an interval on the step's value where it
+is one:
 
-- the trace: certified (u, d) classes have antidiagonal sum -u d, a linear
-  constraint that bounds each antidiagonal slot and fixes the last one;
+- the trace: certified (u, d) classes have antidiagonal sum -u d.  Its
+  slack bounds each antidiagonal slot and fixes the last one; a column that
+  completes the trace before that slot tests it at its pivot;
 - the rank: M has rank at most 2u.  Idempotent and typed modes test the
   complete rows with ``rank_int`` once there are more than 2u of them,
   except at the last slot, where the row identity decides.  Profile-only
-  mode prunes only for u = n - 1, where the bound is Pf(M) = 0, affine in
-  the last slot x: Pf(M) = x Pf(M[:2n-2, :2n-2]) + Pf(M)|x=0 is solved for x;
-- the row identity (idempotent and typed modes, and both scans): N = J M
-  satisfies N^2 = d N iff M J M = d M, that is (r_r J) . r_k = -d M_rk for
-  all rows k < r.  It is checked as soon as row r is complete, and where the
-  row's last entry enters it with a nonzero coefficient it is solved for
-  that entry instead of trying every value.  A lattice walk also runs each
-  identity (r, k), and the trace, at the pivot of the last basis column
-  touching their slots, which writes the forced slots it completes into M;
+  mode prunes only for u = n - 1, where Pf(M) = 0 is solved for the last slot;
+- the row identity: N = J M satisfies N^2 = d N iff M J M = d M, that is
+  (r_i J) . r_k = -d M_ik for all rows k < i.  Identity (i, k) runs once, at
+  the pivot of the last column touching rows i and k.  Where that column
+  sets only its slot (always, in the box) and the identity is linear in it,
+  it is solved for the slot's value (``_slope``); otherwise it is tested
+  once the step writes the slots it completes.  Profile-only mode does not
+  prune on it: it tells the leaf whether the identities hold;
 - the residual (float scan): ``riemann._within`` keeps a leaf only if each
   residual row has |b + c1 x1 + c2 x2| <= (tol + eps) S, where x1, x2 are
   the last two slots the trace does not force, b holds the other slots with
   the forced one substituted, and S = bound * sum |c|.  The real 2 x 2
   system then puts x1 within |c2| (tol + eps) S / |D| of Im(conj(c2) b) / D,
-  D = Im(conj(c1) c2), so slot x1 tries only those integers (the radius
-  taken 1 + eps larger), and ``_within`` still decides each leaf.
-  eps = 2^-30 bounds the binary64 rounding of ``_within``, of b and of the
-  solve where |D| >= 2^-16 |c1| |c2| and |D| >= 2^-900; other rows get no
-  window, and none does when some S >= 2^1000, where ``_within`` may
-  overflow (``_residual_windows``).
+  D = Im(conj(c1) c2) (the radius taken 1 + eps larger), and ``_within``
+  still decides each leaf.  eps = 2^-30 bounds the binary64 rounding of
+  ``_within``, of b and of the solve where |D| >= 2^-16 |c1| |c2| and
+  |D| >= 2^-900; other rows get no window, and none does when some
+  S >= 2^1000, where ``_within`` may overflow (``_residual_windows``).
 
 With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
-then 2u), and so fix its (u, d) profile.  The default profile-only mode
-accepts such leaves without computing a profile and runs ``check_class``
-only on the rest, since the profile alone does not imply idempotence; at
-(n, u) = (2, 1) the profile forces the identity, so that walk prunes on it.
-Typed mode reads the type of its certified, primitive hits off the Smith
-invariants of M (``normend._smith_type``): no norm matrix, basis or frame.
+then 2u), and so fix its (u, d) profile.  Profile-only mode accepts such
+leaves and runs ``check_class`` only on the rest, since the profile alone
+does not imply idempotence; at (n, u) = (2, 1) the profile forces the
+identity, so that walk prunes on it.  Typed mode reads the type of its hits
+off the Smith invariants of M (``normend._smith_type``).
 
-``enumerate_classes`` and the float scan walk the whole box through
-``_walk_chunks``: one walk for jobs <= 1, else one walk per first
-coefficient in worker processes, with the same result.  The raw box grows
-as (2 bound + 1)^(n (2n - 1)), so both refuse one above a hard budget
-instead of hanging (raise it with the integer NSFORGE_BUDGET environment variable).
-A lattice walk counts its nodes instead and fails past
-``_LATTICE_NODE_BUDGET``.
+``enumerate_classes`` and the float scan walk the box through
+``_walk_chunks``: one walk for jobs <= 1, else one walk per value of slot 0
+in worker processes, with the same result.  Both refuse a raw box of
+(2 bound + 1)^(n (2n - 1)) points above a hard budget (the integer
+NSFORGE_BUDGET environment variable).  Every walk counts its nodes and fails
+past ``_LATTICE_NODE_BUDGET``.
 """
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import ceil, floor, gcd, inf, isfinite
 from operator import mul
 
@@ -83,7 +83,7 @@ class EnumerationSpec:
                              f"each dividing the next, ending in d = {self.d}")
 
 
-_LATTICE_NODE_BUDGET = 20_000_000  # nodes of one lattice walk (the exact scan)
+_LATTICE_NODE_BUDGET = 20_000_000  # nodes of one walk, over the box or a lattice
 
 
 def _check_box_budget(n, bound, noun):
@@ -116,36 +116,69 @@ def _pairing(ri, rk, n):
     return sum(map(mul, ri[:n], rk[n:])) - sum(map(mul, ri[n:], rk[:n]))
 
 
-def _row_holds(mat, i, n, d):
-    """Row i's share of M J M = d M: (r_i J) . r_k = -d M_ik for every k < i."""
-    ri = mat[i]
-    return all(_pairing(ri, mat[k], n) + d * ri[k] == 0 for k in range(i))
-
-
 def _lattice_steps(n, cols):
-    """Per slot, how a walk over the lattice with echelon basis ``cols`` fills it.
+    """Per slot, how a walk over the lattice with echelon basis ``cols`` fills and tests it.
 
     Column pivots (first nonzero entries) are positive and in increasing
     slots, as in ``la.kernel_basis``.  A pivot slot gets (pivot, the later
     entries of its column, the later slots that column is the last to touch,
     the row pairs (i, k), k < i, of M J M = d M and whether the trace, whose
-    slots it is the last column to touch).  Any other slot gets pivot 0: the
-    chosen columns force its value.
+    slots it is the last column to touch, and the pairs' ``_slope``s if the
+    column has no later entry and each pair is linear in the slot, else None).
+    Any other slot gets pivot 0: the chosen columns force its value.
     """
     m, dim = 2 * n, n * (2 * n - 1)
-    slot = {p: r for r, p in enumerate(_pairs(n))}
+    pairs = _pairs(n)
+    slot = {p: r for r, p in enumerate(pairs)}
     last_col = {r: k for k, col in enumerate(cols) for r in range(dim) if col[r]}
     row_fix = [max(last_col.get(slot[min(i, j), max(i, j)], -1) for j in range(m) if j != i)
                for i in range(m)]
     trace_fix = max(last_col.get(slot[i, i + n], -1) for i in range(n))
-    steps = [(0, (), (), (), False)] * dim
+    steps = [(0, (), (), (), False, None)] * dim
     for k, col in enumerate(cols):
         p = next(r for r in range(dim) if col[r])
-        steps[p] = (col[p], [(r, col[r]) for r in range(p + 1, dim) if col[r]],
-                    [r for r in range(p + 1, dim) if last_col.get(r) == k],
-                    [(i, h) for i in range(m) for h in range(i) if max(row_fix[i], row_fix[h]) == k],
-                    k == trace_fix)
+        tail = [(r, col[r]) for r in range(p + 1, dim) if col[r]]
+        checked = [(i, h) for i in range(m) for h in range(i) if max(row_fix[i], row_fix[h]) == k]
+        slopes = None if tail else [_slope(n, i, h, *pairs[p]) for i, h in checked]
+        steps[p] = (col[p], tail, [r for r in range(p + 1, dim) if last_col.get(r) == k], checked,
+                    k == trace_fix, None if slopes is None or None in slopes else slopes)
     return steps
+
+
+@cache
+def _box_steps(n):
+    """``_lattice_steps`` of the identity basis, whose points are the whole box."""
+    dim = n * (2 * n - 1)
+    return _lattice_steps(n, [[int(r == k) for r in range(dim)] for k in range(dim)])
+
+
+def _slope(n, i, k, p, q):
+    """Identity (i, k), (r_i J) . r_k + d M_ik, as rest + slope x in x = M_pq = -M_qp.
+
+    J pairs entry a with a + n (mod 2n), at sign +1 for a < n.  Returns (i, k,
+    terms, times): slope = times * d + sum(sign * M[row][col] for row, col,
+    sign in terms), read with the slot at 0.  None if (i, k) = (q, p), q = p + n: x^2 enters.
+    """
+    if (i, k, q) == (q, p, p + n):
+        return None
+    terms, times = [], 0
+    for row, col, sign in ((p, q, 1), (q, p, -1)):
+        s = sign if col < n else -sign
+        if row == i:
+            terms.append((k, (col + n) % (2 * n), s))
+        if row == k:
+            terms.append((i, (col + n) % (2 * n), -s))
+        if (row, col) == (i, k):
+            times += sign
+    return i, k, terms, times
+
+
+def _roots(coef, rest, values):
+    """The values x with coef x + rest = 0."""
+    if not coef:
+        return () if rest else values
+    x, r = divmod(-rest, coef)
+    return (x,) if not r and x in values else ()
 
 
 def _residual_windows(n, rows, tol, bound):
@@ -165,25 +198,22 @@ def _residual_windows(n, rows, tol, bound):
     return free1, windows
 
 
-def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, residual=None):
+def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
     """Coefficient vectors of the primitive classes in the box, in walk order.
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
-    (u, d).  ``lattice``, an echelon basis in slot order (``_lattice_steps``),
-    restricts the walk to its points; such a walk counts its nodes and
-    raises ``BudgetExceeded`` past ``_LATTICE_NODE_BUDGET``.
-    ``first_values`` restricts the first coefficient of a box walk.
-    ``residual``, the float scan's (``riemann._float_rows``, tol), restricts
-    a box walk's second-to-last free slot to ``_residual_windows``.
+    (u, d).  ``lattice``, an echelon basis in slot order, restricts the walk
+    to its points; by default it is the identity basis, the whole box.
+    ``first`` fixes slot 0.  ``residual``, the float scan's
+    (``riemann._float_rows``, tol), bounds one slot (``_residual_windows``).
     """
     m = 2 * n
     pairs = _pairs(n)
     last = len(pairs) - 1
     target = -u * d
-    span = range(-bound, bound + 1)
     anti = [j == i + n for i, j in pairs]
-    anti_after = [sum(anti[k + 1:]) for k in range(len(pairs))]
+    slack = [bound * sum(anti[k + 1:]) for k in range(len(pairs))]
     # rows 0..i are complete at the last slot of row i.  A profile bounds
     # rank(M) by 2u only when n - u <= 1: N = J M is skew-Hamiltonian, so its
     # Jordan blocks come in pairs, and a 0-eigenvalue of multiplicity
@@ -191,8 +221,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, residual=
     rank_rows = [i + 1 if idempotent and j == m - 1 and i + 1 > 2 * u
                  and idx < last else 0 for idx, (i, j) in enumerate(pairs)]
     solve_pf = not idempotent and u == n - 1
-    head, whole = tuple(range(m - 2)), tuple(range(m))
-    steps = [None] * len(pairs) if lattice is None else _lattice_steps(n, lattice)
+    steps = _box_steps(n) if lattice is None else _lattice_steps(n, lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
     mat = la.zeros(m, m)
     vec = [0] * len(pairs)
@@ -200,119 +229,85 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first_values=None, residual=
     found = []
     free1, windows = _residual_windows(n, *residual, bound) if residual else (-1, ())
 
-    def window(trace):
-        """The values of slot free1 that leave each windowed residual row a completion."""
-        lo, hi = -bound, bound
-        for row, c_forced, w, radius in windows:
-            x = (w * (sum(map(mul, vec, row)) + (target - trace) * c_forced)).imag
-            if abs(x) + radius < inf:
-                lo, hi = max(lo, ceil(x - radius)), min(hi, floor(x + radius))
-        return range(lo, hi + 1)
+    def solutions(slopes, values):
+        """The values of the step's slot (now 0) for which each identity it fixes holds."""
+        for i, k, terms, coef in slopes:
+            coef *= d
+            for r, c, s in terms:
+                coef += s * mat[r][c]
+            values = _roots(coef, _pairing(mat[i], mat[k], n) + d * mat[i][k], values)
+            if not values:
+                break
+        return values
 
-    def row_solutions(i, values):
-        """The values of M[i][m-1] (now 0) for which row i meets its identities."""
-        ri = mat[i]
-        x = None
-        for k in range(i):
-            rk = mat[k]
-            rest = _pairing(ri, rk, n) + d * ri[k]  # the identity is rest - x * rk[n-1] = 0
-            coef = rk[n - 1]
-            if not coef:
-                if rest:
-                    return ()
-            elif rest % coef or (x is not None and rest // coef != x):
-                return ()
-            else:
-                x = rest // coef
-        if x is None:
-            return values
-        return (x,) if x in values else ()
-
-    def pf_solutions(values):
-        """The values of M[m-2][m-1] (now 0) for which Pf(M) = x * coef + rest vanishes."""
-        coef = _sub_pfaffian(mat, head, {})
-        rest = _sub_pfaffian(mat, whole, {})
-        if not coef:
-            return () if rest else values
-        x, r = divmod(-rest, coef)
-        return (x,) if not r and x in values else ()
-
-    def leaf(trace, holds):
-        key = tuple(vec)
-        if gcd(*key) != 1:  # zero or not primitive
-            return
-        if holds and trace == target and _row_holds(mat, m - 1, n, d):
-            found.append(key)  # M J M = d M and trace -u d certify it, so the profile is (u, d)
-        elif not idempotent and check_class(_form(n, key)) == (u, d):
-            found.append(key)
-
-    def fixes(finals, checked, trace_fixed):
-        """Write the slots the chosen column completes into M, then run the tests it fixes."""
+    def fixes(finals, trace_fixed):
+        """Write the slots the chosen column completes into M: are they in the box, the trace -u d?"""
         for r in finals:
             x = partial[r]
             if not -bound <= x <= bound:
                 return False
             i, j = pairs[r]
             mat[i][j], mat[j][i] = x, -x
-        if trace_fixed and sum(mat[k][n + k] for k in range(n)) != target:
-            return False
-        return not idempotent or all(_pairing(mat[i], mat[k], n) + d * mat[i][k] == 0
-                                     for i, k in checked)
+        return not trace_fixed or sum(mat[k][n + k] for k in range(n)) == target
 
     def dfs(idx, trace, holds):
         nonlocal nodes
         if idx > last:
-            leaf(trace, holds)
+            key = tuple(vec)
+            # M J M = d M and the trace -u d certify a primitive leaf: its profile is (u, d)
+            if gcd(*key) == 1 and (holds or not idempotent and check_class(_form(n, key)) == (u, d)):
+                found.append(key)
             return
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(f"lattice walk exceeded its budget of {budget} nodes")
         i, j = pairs[idx]
         ri, rj = mat[i], mat[j]
-        step = steps[idx]
-        piv = 0
-        if step is None:  # a box slot
-            values = first_values if idx == 0 and first_values is not None else span
-            if idx == free1 and windows:
-                values = window(trace)
-        else:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(f"lattice walk exceeded its budget of {budget} nodes")
-            piv, tail, finals, checked, trace_fixed = step
-            base = partial[idx]
-            if not piv:  # forced by the columns already chosen; M holds it since the last one
-                values = (base,)
-                ri[j] = rj[i] = 0  # the solves below read the open slot as 0
-            else:  # the pivot's residue class in [-bound, bound]
-                values = span if piv == 1 else range(base - (base + bound) // piv * piv, bound + 1, piv)
-        if anti[idx]:
-            slack = bound * anti_after[idx]
-            lo, hi = target - trace - slack, target - trace + slack
-            values = [a for a in values if lo <= a <= hi]
-        if solve_pf and idx == last:
-            values = pf_solutions(values)
-        row_ok = values
-        if j == m - 1 and i:  # row i completes here
-            row_ok = row_solutions(i, values)
-            if idempotent:
-                values = row_ok
+        piv, tail, finals, checked, trace_fixed, slopes = steps[idx]
+        trace_fixed = trace_fixed and slack[idx]  # at zero slack, the slack forces the trace
+        base = partial[idx]
+        lo, hi = (first, first) if idx == 0 and first is not None else (-bound, bound)
+        if anti[idx]:  # no min and max calls: this runs at every antidiagonal node
+            t, s = target - trace, slack[idx]
+            lo, hi = t - s if t - s > lo else lo, t + s if t + s < hi else hi
+        if idx == free1:  # each windowed residual row must keep a completion
+            for row, c_forced, w, radius in windows:
+                x = (w * (sum(map(mul, vec, row)) + (target - trace) * c_forced)).imag
+                if abs(x) + radius < inf:
+                    lo, hi = max(lo, ceil(x - radius)), min(hi, floor(x + radius))
+        if piv:  # the pivot's residue class
+            values = range(lo + (base - lo) % piv, hi + 1, piv)
+        else:  # forced by the columns already chosen; M holds it since the last one
+            values = (base,) if lo <= base <= hi else ()
+            ri[j] = rj[i] = 0  # the solves below read the open slot as 0
+        if solve_pf and idx == last:  # Pf(M) = x Pf(M[:2n-2, :2n-2]) + Pf(M)|x=0
+            values = _roots(_sub_pfaffian(mat, tuple(range(m - 2)), {}),
+                            _sub_pfaffian(mat, tuple(range(m)), {}), values)
+        row_ok = solutions(slopes, values) if slopes else values
+        if idempotent:
+            values = row_ok
+        after = checked if slopes is None else ()
+        tests = tail or trace_fixed or after  # the column's tests of each value
         for a in values:
             ri[j], rj[i] = a, -a
             vec[idx] = a
             if rank_rows[idx] and la.rank_int(mat[:rank_rows[idx]]) > 2 * u:
                 continue
-            if piv:  # add the column's multiple to the later slots, then run what it fixes
-                c = (a - base) // piv
-                for r, x in tail:
-                    partial[r] += c * x
-                if (finals or checked or trace_fixed) and not fixes(finals, checked, trace_fixed):
-                    for r, x in tail:
-                        partial[r] -= c * x
-                    continue
-            dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
-            if piv:
-                for r, x in tail:
-                    partial[r] -= c * x
+            if not tests:
+                dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
+                continue
+            c = (a - base) // piv  # add the column's multiple to the later slots
+            for r, x in tail:
+                partial[r] += c * x
+            if fixes(finals, trace_fixed):
+                ok = holds and a in row_ok and all(
+                    _pairing(mat[h], mat[k], n) + d * mat[h][k] == 0 for h, k in after)
+                if ok or not idempotent:
+                    dfs(idx + 1, trace + a if anti[idx] else trace, ok)
+            for r, x in tail:
+                partial[r] -= c * x
         ri[j] = rj[i] = vec[idx] = 0
-        if step and not piv:  # the value the slot's last column wrote
+        if not piv:  # the value the slot's last column wrote
             ri[j], rj[i] = base, -base
 
     dfs(0, 0, True)
@@ -330,10 +325,9 @@ def _walk_chunks(n, u, d, bound, idempotent, jobs, residual=None):
         return _walk(n, u, d, bound, idempotent, residual=residual)
     import concurrent.futures
 
-    firsts = [(a,) for a in range(-bound, bound + 1)]
     chunk = partial(_walk, n, u, d, bound, idempotent, None, residual=residual)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as ex:
-        return [vec for vectors in ex.map(chunk, firsts) for vec in vectors]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, 2 * bound + 1)) as ex:
+        return [vec for vectors in ex.map(chunk, range(-bound, bound + 1)) for vec in vectors]
 
 
 def enumerate_classes(spec, jobs=1):

@@ -154,6 +154,13 @@ class TestRoundTrips:
         assert classes == [{"n": 2, "coeffs": [{"a": -1, "i": 1, "j": 3},
                                                {"a": -1, "i": 2, "j": 4}]}]
 
+    @pytest.mark.parametrize("flags,code", [(["--u", "1"], "RangeError"), (["--d", "2"], "RangeError"),
+                                            (["--u", "0", "--d", "2"], "TraceMismatch")])
+    def test_norm_takes_both_of_u_and_d_or_neither(self, tmp_path, flags, code):
+        """A lone --u or --d is refused, and --u 0 reaches the certificate as 0."""
+        result = cli.run(["norm", "--in", write_json(tmp_path, "e.json", ETA0)] + flags)
+        assert result.exit_code == 2 and result.payload["error"]["code"] == code
+
     def test_norm_with_supplied_data(self, tmp_path):
         path = write_json(tmp_path, "e.json", ETA0)
         good = run_cli(["norm", "--in", path, "--u", "2", "--d", "2"])
@@ -168,6 +175,12 @@ class TestErrors:
         proc = run_cli(["profile", "--in", "/nonexistent/x.json"])
         assert proc.returncode == 2
         assert "error" in json.loads(proc.stderr)
+
+    def test_unwritable_out_is_one_json_error(self, tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        proc = run_cli(["profile", "--in", write_json(tmp_path, "e.json", ETA0), "--out", out])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert json.loads(proc.stderr)["error"]["code"] == "RangeError"
 
     def test_bad_usage(self):
         proc = run_cli(["analytic"])  # missing --in/--tau

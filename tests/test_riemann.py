@@ -650,8 +650,10 @@ class TestLatticeTests:
     """The lattice walk runs each row identity and the trace at the pivot that fixes them."""
 
     def test_each_test_sits_at_the_pivot_of_the_last_column_touching_it(self):
-        for tau in (type22_class_tau(), _exact_scan_taus()[5]):
-            n, lattice = tau.n, riemann._coefficient_lattice(tau)[1]
+        """On two vanishing lattices and on the identity bases, whose walks are the box walks."""
+        bases = [(tau.n, riemann._coefficient_lattice(tau)[1])
+                 for tau in (type22_class_tau(), _exact_scan_taus()[5])]
+        for n, lattice in bases + [(n, la.identity(n * (2 * n - 1))) for n in (2, 3)]:
             pairs, steps = scan._pairs(n), scan._lattice_steps(n, lattice)
 
             def fixing_pivot(slots):
@@ -667,11 +669,14 @@ class TestLatticeTests:
             trace = fixing_pivot([pairs.index((i, i + n)) for i in range(n)])
             assert [p for p, step in enumerate(steps) if step[4]] == [trace]
 
-    def test_golden_scan_fits_a_small_node_budget(self, monkeypatch):
+    @pytest.mark.parametrize("bound,budget", [(1, 1_000), (2, 1_041)])
+    def test_golden_scan_fits_a_small_node_budget(self, monkeypatch, bound, budget):
+        """The bound-2 walk takes exactly 1,041 nodes.  The reference scan is far slower
+        there, so ``test_golden_bound_two_scan`` checks those classes with the oracle."""
         tau = type22_class_tau()
-        expected = reference_exact_scan(tau, 2, 2, 1)
-        monkeypatch.setattr(scan, "_LATTICE_NODE_BUDGET", 1_000)
-        assert scan_ppav(tau, 2, 2, 1) == expected
+        expected = reference_exact_scan(tau, 2, 2, 1) if bound == 1 else scan_ppav(tau, 2, 2, 2)
+        monkeypatch.setattr(scan, "_LATTICE_NODE_BUDGET", budget)
+        assert scan_ppav(tau, 2, 2, bound) == expected
 
     def test_golden_bound_two_scan(self):
         """The 36 (2, 2) classes of the golden witness with |a| <= 2, each checked by the oracle."""

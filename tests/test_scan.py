@@ -1,3 +1,4 @@
+import random
 import types
 
 import pytest
@@ -45,6 +46,14 @@ class TestEnumerate:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             enumerate_classes(EnumerationSpec(4, 2, 2, 1))
+
+    def test_node_budget_bounds_box_walks(self, monkeypatch):
+        """The box is the identity lattice: enumeration and the float scan count their nodes."""
+        monkeypatch.setattr(scan, "_LATTICE_NODE_BUDGET", 50)
+        with pytest.raises(BudgetExceeded, match="budget of 50 nodes"):
+            enumerate_classes(EnumerationSpec(2, 1, 2, 3))
+        with pytest.raises(BudgetExceeded, match="budget of 50 nodes"):
+            scan_ppav(PeriodMatrix.from_float([[1j, 0], [0, 2j]]), 1, 1, 2)
 
     @pytest.mark.parametrize("value", ["1e9", "", "lots"])
     def test_malformed_budget_is_a_range_error(self, monkeypatch, value):
@@ -283,6 +292,39 @@ class TestWalkerWork:
             assert profile == enumerate_classes(EnumerationSpec(2, 1, d, bound, require_idempotent=True))
             assert calls == []
             assert profile == reference_enumerate(EnumerationSpec(2, 1, d, bound))
+
+    def test_row_identities_are_solved_for_their_slot(self, monkeypatch):
+        """Each identity is solved for its step's value once per node, not tried per value."""
+        calls = []
+        original = scan._pairing
+        monkeypatch.setattr(scan, "_pairing", lambda *args: calls.append(1) or original(*args))
+        enumerate_classes(EnumerationSpec(2, 1, 2, 3, require_idempotent=True))
+        assert len(calls) <= 7_404
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slope_is_the_identity_s_change_in_one_slot(self, n):
+        """Identity (i, k) is rest + slope x in slot (p, q)'s value x, except (q, p), q = p + n."""
+        rng, m, d = random.Random(n), 2 * n, 3
+        for _ in range(10):
+            mat = la.zeros(m, m)
+            for p, q in scan._pairs(n):
+                mat[p][q] = rng.randint(-3, 3)
+                mat[q][p] = -mat[p][q]
+            for p, q in scan._pairs(n):
+                for i in range(m):
+                    for k in range(i):
+                        def value(x):
+                            mat[p][q], mat[q][p] = x, -x
+                            return scan._pairing(mat[i], mat[k], n) + d * mat[i][k]
+
+                        rest, slope = value(0), scan._slope(n, i, k, p, q)
+                        if slope is None:
+                            assert (i, k, q) == (q, p, p + n)
+                            assert all(value(x) == rest - d * x - x * x for x in (-2, 1, 3))
+                        else:
+                            _, _, terms, times = slope
+                            coef = times * d + sum(s * mat[r][c] for r, c, s in terms)
+                            assert all(value(x) == rest + coef * x for x in (-2, 1, 3))
 
     def test_idempotent_mode_certifies_hits_at_most_once(self, monkeypatch):
         """The walker certifies typed hits (M J M = d M, trace -u d, gcd 1): none is re-verified."""
