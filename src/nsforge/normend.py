@@ -27,6 +27,7 @@ from .errors import (
     NotIdempotent,
     NotSymmetricForJ,
     NsforgeError,
+    RangeError,
     RankMismatch,
     TraceMismatch,
     TypeExponentMismatch,
@@ -59,18 +60,23 @@ class SubvarietyReport:
 def norm_from_class(eta, u=None, d=None):
     """Build and verify the norm matrix of a certified class.
 
-    When (u, d) is not supplied it is taken from check_class; either way all
-    invariants are re-verified: idempotence N^2 = d N, rank 2u, and trace
-    2ud through the trace formula for d along the antidiagonal slots.
+    When (u, d) is not supplied it is taken from check_class; a supplied one
+    needs 1 <= u <= n and d >= 1.  Either way all invariants are re-verified:
+    idempotence N^2 = d N, rank 2u, and trace 2ud through the trace formula
+    for d along the antidiagonal slots.
     """
     if eta.is_zero():
         raise ZeroForm("zero class has no norm matrix")
+    n = eta.n
     if u is None or d is None:
         found = check_class(eta)
         if found is None:
             raise NotIdempotent("class fails the intersection-number profile")
         u, d = found
-    n = eta.n
+    elif not 1 <= u <= n:
+        raise RangeError("need 1 <= u <= n")
+    elif d < 1:
+        raise RangeError("need d >= 1")
     j = la.standard_j(n)
     nmat = la.mat_mul(j, [list(r) for r in eta.mat])
     # trace formula: d = -(1/u) * sum of antidiagonal coefficients; since

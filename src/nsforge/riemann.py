@@ -39,8 +39,9 @@ from .errors import (
     NotInSiegel,
     RangeError,
 )
+from .exterior import TwoForm
 from .normend import _image, _report, norm_from_class
-from .scan import _check_box_budget, _form, _pairs
+from .scan import _check_box_budget, _pairs
 from .symplectic import is_symplectic
 
 EXACT = "exact"
@@ -446,14 +447,14 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     if d < 1:  # no class has a profile with exponent below 1
         return []
     if tau.backend == EXACT:
-        vectors = scan._walk(n, u, d, bound, True, _coefficient_lattice(tau)[1])
+        hits = scan._walk(n, u, d, bound, True, _coefficient_lattice(tau)[1])
     else:
         rows = _float_rows(tau)
-        vectors = [vec for vec in scan._walk_chunks(n, u, d, bound, True, jobs, (rows, tol))
-                   if _within(rows, vec, tol)]
+        hits = [hit for hit in scan._walk_chunks(n, u, d, bound, True, jobs, (rows, tol))
+                if _within(rows, hit[0], tol)]
     reports = []
-    for vec in sorted(vectors):
-        eta = _form(n, vec)
+    for _, mat in sorted(hits):
+        eta = TwoForm(n, mat)
         if tau.backend == EXACT:
             assert wedge_vanishes(eta, tau), "internal: kernel member fails the wedge test"
         reports.append(_report(eta, norm_from_class(eta, u, d)))

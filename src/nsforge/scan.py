@@ -6,9 +6,10 @@ lattice with an echelon basis: the exact scan's vanishing lattice, or the
 identity basis, whose points are the whole box.  It fills the antisymmetric
 coefficient matrix M in place, slot by slot in row-major order of the upper
 triangle: a column's pivot slot tries the pivot's residue class, and then
-the slots the column is the last to touch are complete.  Each test runs at
-the step that fixes its inputs, as an interval on the step's value where it
-is one:
+the slots the column is the last to touch are complete.  Beside M it keeps
+the rows r_i J of M J (the transpose of N = J M), written wherever a slot of
+M is.  Each test runs at the step that fixes its inputs, as an interval on
+the step's value where it is one:
 
 - the trace: certified (u, d) classes have antidiagonal sum -u d.  Its
   slack bounds each antidiagonal slot and fixes the last one; a column that
@@ -18,11 +19,12 @@ is one:
   except at the last slot, where the row identity decides.  Profile-only
   mode prunes only for u = n - 1, where Pf(M) = 0 is solved for the last slot;
 - the row identity: N = J M satisfies N^2 = d N iff M J M = d M, that is
-  (r_i J) . r_k = -d M_ik for all rows k < i.  Identity (i, k) runs once, at
-  the pivot of the last column touching rows i and k.  Where that column
-  sets only its slot (always, in the box) and the identity is linear in it,
-  it is solved for the slot's value (``_slope``); otherwise it is tested
-  once the step writes the slots it completes.  Profile-only mode does not
+  (r_i J) . r_k = -d M_ik for all rows k < i, one dot product against M J
+  (``_identity``).  Identity (i, k) runs once, at the pivot of the last
+  column touching rows i and k.  Where that column sets only its slot
+  (always, in the box) and the identity is linear in it, it is solved for
+  the slot's value (``_slope``); otherwise it is tested once the step
+  writes the slots it completes.  Profile-only mode does not
   prune on it: it tells the leaf whether the identities hold;
 - the residual (float scan): ``riemann._within`` keeps a leaf only if each
   residual row has |b + c1 x1 + c2 x2| <= (tol + eps) S, where x1, x2 are
@@ -39,8 +41,10 @@ With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
 then 2u), and so fix its (u, d) profile.  Profile-only mode accepts such
 leaves and runs ``check_class`` only on the rest, since the profile alone
 does not imply idempotence; at (n, u) = (2, 1) the profile forces the
-identity, so that walk prunes on it.  Typed mode reads the type of its hits
-off the Smith invariants of M (``normend._smith_type``).
+identity, so that walk prunes on it.  A primitive leaf that may pass freezes
+the M it holds once; ``check_class`` and the hit's ``TwoForm`` read those
+rows.  Typed mode reads the type of its hits off the Smith invariants of M
+(``normend._smith_type``).
 
 ``enumerate_classes`` and the float scan walk the box through
 ``_walk_chunks``: one walk for jobs <= 1, else one walk per value of slot 0
@@ -103,17 +107,9 @@ def _pairs(n):
     return [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
 
 
-def _form(n, vec):
-    """The 2-form with upper-triangle coefficient vector vec."""
-    mat = la.zeros(2 * n, 2 * n)
-    for (i, j), a in zip(_pairs(n), vec):
-        mat[i][j], mat[j][i] = a, -a
-    return TwoForm.from_matrix(n, mat)
-
-
-def _pairing(ri, rk, n):
-    """(r_i J) . r_k for rows of a 2n x 2n matrix and J = [[0, I], [-I, 0]]."""
-    return sum(map(mul, ri[:n], rk[n:])) - sum(map(mul, ri[n:], rk[:n]))
+def _identity(mat, mj, i, k, d):
+    """Row identity (i, k) of M J M = d M, (r_i J) . r_k + d M_ik, where mj[i] = r_i J."""
+    return sum(map(mul, mj[i], mat[k])) + d * mat[i][k]
 
 
 def _lattice_steps(n, cols):
@@ -199,7 +195,7 @@ def _residual_windows(n, rows, tol, bound):
 
 
 def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
-    """Coefficient vectors of the primitive classes in the box, in walk order.
+    """(coefficient vector, frozen matrix) of each primitive class in the box, in walk order.
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
@@ -207,6 +203,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
     to its points; by default it is the identity basis, the whole box.
     ``first`` fixes slot 0.  ``residual``, the float scan's
     (``riemann._float_rows``, tol), bounds one slot (``_residual_windows``).
+    M J is kept beside M (``_identity``), and each hit's M is frozen at its leaf.
     """
     m = 2 * n
     pairs = _pairs(n)
@@ -223,7 +220,11 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
     solve_pf = not idempotent and u == n - 1
     steps = _box_steps(n) if lattice is None else _lattice_steps(n, lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
-    mat = la.zeros(m, m)
+    # M and the rows r J of M J, (r J)_c = r_(c-n) for c >= n, else -r_(c+n): slot (i, j) = x
+    # writes M_ij = x, M_ji = -x, (r_i J)_ci = si x and (r_j J)_cj = sj x
+    mat, mj = la.zeros(m, m), la.zeros(m, m)
+    at = [(mat[i], mat[j], mj[i], mj[j], i, j, (j + n) % m, (i + n) % m, 1 if j < n else -1,
+           -1 if i < n else 1) for i, j in pairs]
     vec = [0] * len(pairs)
     partial = [0] * len(pairs)  # each slot's sum over the lattice columns chosen so far
     found = []
@@ -235,7 +236,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
             coef *= d
             for r, c, s in terms:
                 coef += s * mat[r][c]
-            values = _roots(coef, _pairing(mat[i], mat[k], n) + d * mat[i][k], values)
+            values = _roots(coef, _identity(mat, mj, i, k, d), values)
             if not values:
                 break
         return values
@@ -246,8 +247,8 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
             x = partial[r]
             if not -bound <= x <= bound:
                 return False
-            i, j = pairs[r]
-            mat[i][j], mat[j][i] = x, -x
+            ri, rj, qi, qj, i, j, ci, cj, si, sj = at[r]
+            ri[j], rj[i], qi[ci], qj[cj] = x, -x, si * x, sj * x
         return not trace_fixed or sum(mat[k][n + k] for k in range(n)) == target
 
     def dfs(idx, trace, holds):
@@ -255,14 +256,15 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
         if idx > last:
             key = tuple(vec)
             # M J M = d M and the trace -u d certify a primitive leaf: its profile is (u, d)
-            if gcd(*key) == 1 and (holds or not idempotent and check_class(_form(n, key)) == (u, d)):
-                found.append(key)
+            if gcd(*key) == 1 and (holds or not idempotent):
+                rows = tuple(map(tuple, mat))
+                if holds or check_class(TwoForm(n, rows)) == (u, d):
+                    found.append((key, rows))
             return
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(f"lattice walk exceeded its budget of {budget} nodes")
-        i, j = pairs[idx]
-        ri, rj = mat[i], mat[j]
+        ri, rj, qi, qj, i, j, ci, cj, si, sj = at[idx]
         piv, tail, finals, checked, trace_fixed, slopes = steps[idx]
         trace_fixed = trace_fixed and slack[idx]  # at zero slack, the slack forces the trace
         base = partial[idx]
@@ -289,7 +291,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
         after = checked if slopes is None else ()
         tests = tail or trace_fixed or after  # the column's tests of each value
         for a in values:
-            ri[j], rj[i] = a, -a
+            ri[j], rj[i], qi[ci], qj[cj] = a, -a, si * a, sj * a
             vec[idx] = a
             if rank_rows[idx] and la.rank_int(mat[:rank_rows[idx]]) > 2 * u:
                 continue
@@ -300,15 +302,14 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
             for r, x in tail:
                 partial[r] += c * x
             if fixes(finals, trace_fixed):
-                ok = holds and a in row_ok and all(
-                    _pairing(mat[h], mat[k], n) + d * mat[h][k] == 0 for h, k in after)
+                ok = holds and a in row_ok and all(_identity(mat, mj, h, k, d) == 0 for h, k in after)
                 if ok or not idempotent:
                     dfs(idx + 1, trace + a if anti[idx] else trace, ok)
             for r, x in tail:
                 partial[r] -= c * x
-        ri[j] = rj[i] = vec[idx] = 0
+        ri[j] = rj[i] = qi[ci] = qj[cj] = vec[idx] = 0
         if not piv:  # the value the slot's last column wrote
-            ri[j], rj[i] = base, -base
+            ri[j], rj[i], qi[ci], qj[cj] = base, -base, si * base, sj * base
 
     dfs(0, 0, True)
     del dfs  # a recursive closure is a reference cycle: free its state without the collector
@@ -327,7 +328,7 @@ def _walk_chunks(n, u, d, bound, idempotent, jobs, residual=None):
 
     chunk = partial(_walk, n, u, d, bound, idempotent, None, residual=residual)
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, 2 * bound + 1)) as ex:
-        return [vec for vectors in ex.map(chunk, range(-bound, bound + 1)) for vec in vectors]
+        return [hit for hits in ex.map(chunk, range(-bound, bound + 1)) for hit in hits]
 
 
 def enumerate_classes(spec, jobs=1):
@@ -341,8 +342,8 @@ def enumerate_classes(spec, jobs=1):
         raise RangeError("enumeration is desk scale: n <= 4, bound <= 3")
     _check_box_budget(n, bound, "candidate")
     idempotent = spec.require_idempotent or spec.require_type is not None or (n, u) == (2, 1)
-    vectors = _walk_chunks(n, u, d, bound, idempotent, jobs)
-    classes = [_form(n, vec) for vec in sorted(vectors)]
+    hits = _walk_chunks(n, u, d, bound, idempotent, jobs)
+    classes = [TwoForm(n, rows) for _, rows in sorted(hits)]
     if spec.require_type is not None:
         typ = tuple(spec.require_type)
         classes = [eta for eta in classes if _smith_type(eta.mat, u, d) == typ]

@@ -7,7 +7,8 @@ against.  The reference invariants below are the symbolic
 Pfaffian pencil, the point-by-point characteristic polynomial and the
 saturated image; the reference vanishing test is the expansion of
 eta ^ dz_1 ^ ... ^ dz_n on the (n + 2)-form basis, on both backends;
-the reference searches are the plain walker, the lattice walk,
+the reference searches are the plain walker, the row pairing of
+M J M = d M, the lattice walk,
 the full-box float scan and the trace-coset exact scan that the search
 paths are checked against; the references at the end are the integer parts
 of a Gaussian-rational tau, the Gaussian-rational and Fraction versions of the
@@ -403,6 +404,14 @@ def _box_lattice_points(basis_cols, bound, offset):
     dfs(0)
     del dfs
     return sorted(results)
+
+
+def pairing(ri, rk, n):
+    """(r_i J) . r_k for rows of a 2n x 2n matrix M and J = [[0, I], [-I, 0]].
+
+    Row identity (i, k) of M J M = d M is pairing(M[i], M[k], n) + d M[i][k] = 0.
+    """
+    return sum(x * y for x, y in zip(ri[:n], rk[n:])) - sum(x * y for x, y in zip(ri[n:], rk[:n]))
 
 
 def reference_lattice_walk(n, u, d, bound, idempotent, basis):

@@ -155,9 +155,11 @@ class TestRoundTrips:
                                                {"a": -1, "i": 2, "j": 4}]}]
 
     @pytest.mark.parametrize("flags,code", [(["--u", "1"], "RangeError"), (["--d", "2"], "RangeError"),
-                                            (["--u", "0", "--d", "2"], "TraceMismatch")])
+                                            (["--u", "0", "--d", "2"], "RangeError"),
+                                            (["--u", "5", "--d", "2"], "RangeError"),
+                                            (["--u", "2", "--d", "0"], "RangeError")])
     def test_norm_takes_both_of_u_and_d_or_neither(self, tmp_path, flags, code):
-        """A lone --u or --d is refused, and --u 0 reaches the certificate as 0."""
+        """A lone --u or --d is refused, and so is a u outside 1..n or a d below 1."""
         result = cli.run(["norm", "--in", write_json(tmp_path, "e.json", ETA0)] + flags)
         assert result.exit_code == 2 and result.payload["error"]["code"] == code
 

@@ -12,6 +12,7 @@ from nsforge import (
     elliptic_class,
     enumerate_classes,
     is_primitive,
+    moebius,
     orbit_equivalent,
     random_symplectic,
     scan_ppav,
@@ -19,10 +20,10 @@ from nsforge import (
     theta,
 )
 from nsforge import _intlinalg as la
-from nsforge import exterior, normend, scan, symplectic
+from nsforge import exterior, normend, riemann, scan, symplectic
 from nsforge.errors import BudgetExceeded, RangeError
 
-from oracle import reference_enumerate, reference_lattice_walk
+from oracle import pairing, reference_enumerate, reference_lattice_walk
 from test_certify_once import _patch_every_binding
 
 
@@ -117,7 +118,7 @@ class TestEnumerate:
             for u in (1, 2):
                 for d in (1, 2):
                     for idempotent in (False, True):
-                        pruned = scan._walk(3, u, d, 1, idempotent, lattice)
+                        pruned = [vec for vec, _ in scan._walk(3, u, d, 1, idempotent, lattice)]
                         assert sorted(pruned) == reference_lattice_walk(3, u, d, 1, idempotent, span)
                         if u == 2 and not idempotent:
                             profile_u2_hits += len(pruned)
@@ -130,7 +131,7 @@ class TestEnumerate:
                                       (2, 5): 1, (4, 5): 1})
         assert check_class(eta) == (1, 1) and la.rank_int(eta.mat) == 4
         line = [-a for a in eta.coefficient_vector()]  # the walk's echelon pivot is positive
-        assert scan._walk(3, 1, 1, 1, False, [line]) == [tuple(eta.coefficient_vector())]
+        assert [vec for vec, _ in scan._walk(3, 1, 1, 1, False, [line])] == [tuple(eta.coefficient_vector())]
 
     def test_partition_determinism(self, fake_pool):
         spec = EnumerationSpec(2, 1, 1, 1)
@@ -296,10 +297,36 @@ class TestWalkerWork:
     def test_row_identities_are_solved_for_their_slot(self, monkeypatch):
         """Each identity is solved for its step's value once per node, not tried per value."""
         calls = []
-        original = scan._pairing
-        monkeypatch.setattr(scan, "_pairing", lambda *args: calls.append(1) or original(*args))
+        original = scan._identity
+        monkeypatch.setattr(scan, "_identity", lambda *args: calls.append(1) or original(*args))
         enumerate_classes(EnumerationSpec(2, 1, 2, 3, require_idempotent=True))
         assert len(calls) <= 7_404
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_m_j_rows_follow_m_at_every_node(self, monkeypatch, n):
+        """Each identity the walker evaluates equals the oracle's pairing of the rows of M it
+        holds: the rows of M J kept beside M match M at every node, in the box and on a lattice."""
+        values = []
+        original = scan._identity
+
+        def checked(mat, mj, i, k, d):
+            value = original(mat, mj, i, k, d)
+            assert value == pairing(mat[i], mat[k], n) + d * mat[i][k]
+            values.append(value)
+            return value
+
+        monkeypatch.setattr(scan, "_identity", checked)
+        bound = 4 - n
+        # the plain witness's lattice has forced slots that later identities read
+        witnesses = [standard_witness(n, 1, (1,))[0],
+                     moebius(random_symplectic(n, 7, 3), standard_witness(n, 1, (2,))[0])]
+        for witness in witnesses:
+            for idempotent in (True, False):
+                assert scan._walk(n, 1, 2, bound, idempotent, riemann._coefficient_lattice(witness)[1])
+        assert scan._walk(n, 1, 2, bound, True, first=1)  # the box, slot 0 fixed at 1
+        if n == 2:
+            assert scan._walk(n, 2, 1, 1, False)
+        assert 0 in values and any(values)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slope_is_the_identity_s_change_in_one_slot(self, n):
@@ -315,7 +342,7 @@ class TestWalkerWork:
                     for k in range(i):
                         def value(x):
                             mat[p][q], mat[q][p] = x, -x
-                            return scan._pairing(mat[i], mat[k], n) + d * mat[i][k]
+                            return pairing(mat[i], mat[k], n) + d * mat[i][k]
 
                         rest, slope = value(0), scan._slope(n, i, k, p, q)
                         if slope is None:
@@ -325,6 +352,13 @@ class TestWalkerWork:
                             _, _, terms, times = slope
                             coef = times * d + sum(s * mat[r][c] for r, c, s in terms)
                             assert all(value(x) == rest + coef * x for x in (-2, 1, 3))
+
+    def test_each_hit_is_built_once(self, monkeypatch):
+        """The walker freezes each hit's matrix at its leaf: one ``TwoForm`` per returned class."""
+        calls = []
+        original = TwoForm.__post_init__
+        monkeypatch.setattr(TwoForm, "__post_init__", lambda self: calls.append(1) or original(self))
+        assert len(enumerate_classes(EnumerationSpec(2, 1, 2, 3))) == len(calls) == 980
 
     def test_idempotent_mode_certifies_hits_at_most_once(self, monkeypatch):
         """The walker certifies typed hits (M J M = d M, trace -u d, gcd 1): none is re-verified."""
