@@ -1,13 +1,14 @@
 """Linear algebra on small dense matrices, exact by default.
 
-Matrices are lists (or tuples) of rows.  The lattice routines (Hermite form,
-kernels, ranks, Smith invariants, Bareiss determinants and solves,
-characteristic polynomials) take Python ints; the ring-generic helpers (``mat_mul``,
-``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_vec``) take entries of any ring that mixes
-with ints -- int, Fraction, QQi, complex, IntPoly -- and ``solve_fraction``
-works over any exact field.
-Sizes stay at desk scale (<= 12 or so), so the simple cubic algorithms
-below are the right tool.
+Matrices are lists (or tuples) of rows.  The lattice routines take Python
+ints; the ring-generic helpers (``mat_mul``, ``mat_add``, ``mat_sub``,
+``mat_scale``, ``mat_vec``) take any ring that mixes with ints -- int,
+Fraction, QQi, complex, IntPoly -- and ``solve_fraction`` any exact field.
+One Bareiss pass (``_bareiss``) serves the determinant, the integer solve and
+``riemann``'s positive-definiteness test; ``rank_int`` stays division-free,
+which is faster on its inputs.  ``column_hnf`` carries U as rows below the
+matrix it reduces, so one column operation moves both.  Sizes stay at desk
+scale (<= 12 or so), so the simple cubic algorithms below are the right tool.
 """
 
 from fractions import Fraction
@@ -82,32 +83,50 @@ def is_antisymmetric(a):
     m = len(a)
     if any(len(row) != m for row in a):
         return False
-    return all(a[i][j] == -a[j][i] for i in range(m) for j in range(i, m))
+    for i, row in enumerate(a):  # row i against column i, from the diagonal on
+        for j in range(i, m):
+            if row[j] != -a[j][i]:
+                return False
+    return True
+
+
+def _bareiss(m, n):
+    """Fraction-free (Bareiss) elimination of the leading n columns of the n rows of m, in place.
+
+    Afterwards row k, from column k on, is the k-th pivot row: pivot m[k][k]
+    is the leading (k + 1) x (k + 1) minor of the row-swapped input, and each
+    later entry of the row is a minor too, so each division is exact.  The
+    entries left of a pivot in later rows are left as they were: nothing
+    reads them.  Returns the number of row swaps, or None when those n
+    columns are singular.
+    """
+    swaps, prev = 0, 1
+    for k in range(n):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return None
+            m[k], m[piv] = m[piv], m[k]
+            swaps += 1
+        row = m[k]
+        p = row[k]
+        cols = range(k + 1, len(row))
+        for i in range(k + 1, n):
+            r = m[i]
+            f = r[k]
+            for j in cols:
+                r[j] = (r[j] * p - f * row[j]) // prev
+        prev = p
+    return swaps
 
 
 def det_bareiss(a):
-    """Exact determinant by fraction-free elimination."""
-    n = len(a)
-    if n == 0:
+    """Exact determinant by fraction-free elimination (``_bareiss``)."""
+    if not a:
         return 1
     m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    swaps = _bareiss(m, len(m))
+    return 0 if swaps is None else (-1) ** swaps * m[-1][-1]
 
 
 def solve_bareiss(a, rhs_cols):
@@ -119,20 +138,10 @@ def solve_bareiss(a, rhs_cols):
     """
     n = len(a)
     m = [list(row) + [col[i] for col in rhs_cols] for i, row in enumerate(a)]
-    sign = prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        row, p = m[k], m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], row)]
-        prev = p
-    det = sign * prev
+    swaps = _bareiss(m, n)
+    if swaps is None:
+        raise ZeroDivisionError("singular system")
+    det = (-1) ** swaps * m[n - 1][n - 1] if n else 1
     out = []
     for c in range(n, n + len(rhs_cols)):
         x = [0] * n
@@ -180,31 +189,31 @@ def _row_combination(terms, rows, width):
 
 
 def rank_int(a):
-    """Exact rank via fraction-free row elimination."""
+    """Exact rank by division-free row elimination: row i becomes g row i - f (pivot row).
+
+    A ``_bareiss`` pass would keep the entries smaller, but on the small
+    matrices that reach it its exact divisions made a rank more than twice as slow.
+    """
     if not a or not a[0]:
         return 0
     m = mat_copy(a)
     rows, cols = len(m), len(m[0])
     rank = 0
-    r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot = i
+        for pivot in range(rank, rows):
+            if m[pivot][c] != 0:
                 break
-        if pivot is None:
+        else:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, rows):
             if m[i][c] != 0:
                 f = m[i][c]
-                g = m[r][c]
+                g = m[rank][c]
                 for j in range(c, cols):
-                    m[i][j] = m[i][j] * g - m[r][j] * f
-        r += 1
+                    m[i][j] = m[i][j] * g - m[rank][j] * f
         rank += 1
-        if r == rows:
+        if rank == rows:
             break
     return rank
 
@@ -250,28 +259,14 @@ def column_hnf(a):
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    h = mat_copy(a)
-    u = identity(cols)
+    hu = mat_copy(a) + identity(cols)  # [h; u]: each column operation moves both
 
-    def colop_addmul(dst, src, q):
+    def addmul(dst, src, q):
         # column dst += q * column src
-        for i in range(rows):
-            h[i][dst] += q * h[i][src]
-        for i in range(cols):
-            u[i][dst] += q * u[i][src]
+        for r in hu:
+            r[dst] += q * r[src]
 
-    def colswap(i, j):
-        for r in range(rows):
-            h[r][i], h[r][j] = h[r][j], h[r][i]
-        for r in range(cols):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-
-    def colneg(i):
-        for r in range(rows):
-            h[r][i] = -h[r][i]
-        for r in range(cols):
-            u[r][i] = -u[r][i]
-
+    h = hu[:rows]
     pivot_col = 0
     for r in range(rows):
         if pivot_col == cols:
@@ -286,22 +281,24 @@ def column_hnf(a):
                 if c != c0:
                     q = h[r][c] // h[r][c0]
                     if q:
-                        colop_addmul(c, c0, -q)
+                        addmul(c, c0, -q)
         nonzero = [c for c in range(pivot_col, cols) if h[r][c] != 0]
         if not nonzero:
             continue
         c0 = nonzero[0]
         if c0 != pivot_col:
-            colswap(c0, pivot_col)
+            for row in hu:
+                row[c0], row[pivot_col] = row[pivot_col], row[c0]
         if h[r][pivot_col] < 0:
-            colneg(pivot_col)
+            for row in hu:
+                row[pivot_col] = -row[pivot_col]
         p = h[r][pivot_col]
         for c in range(pivot_col):
             q = h[r][c] // p  # floor: leaves residue in [0, p)
             if q:
-                colop_addmul(c, pivot_col, -q)
+                addmul(c, pivot_col, -q)
         pivot_col += 1
-    return h, u
+    return h, hu[rows:]
 
 
 def kernel_basis(a):
@@ -310,11 +307,8 @@ def kernel_basis(a):
     The basis spans {x in Z^cols : a x = 0} exactly; it is saturated because
     kernels of integer maps are saturated.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
     h, u = column_hnf(a)
-    ker = [[u[r][c] for r in range(cols)] for c in range(cols)
-           if all(h[r][c] == 0 for r in range(rows))]
+    ker = [list(col) for col, h_col in zip(zip(*u), zip(*h)) if not any(h_col)]
     return lattice_basis(ker)  # canonicalize through a second HNF
 
 
@@ -364,15 +358,6 @@ def solve_integer(a, b):
     if any(residue):
         return None
     return mat_vec(u, x)
-
-
-def gcd_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
 
 
 def det_fraction(a):

@@ -5,6 +5,8 @@ so the unit monomial is ().  Degrees stay tiny here (at most the ambient n),
 which keeps this dict representation comfortably fast.
 """
 
+from math import gcd
+
 
 class IntPoly:
     __slots__ = ("terms",)
@@ -81,12 +83,7 @@ class IntPoly:
         return self.terms.get(tuple(sorted(mono)), 0)
 
     def content(self):
-        from math import gcd
-
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self.terms.values())
 
     def evaluate(self, values):
         """Evaluate with values[i] substituted for variable i.

@@ -16,7 +16,7 @@ variable per factor.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from . import _intlinalg as la
 from ._poly import IntPoly
@@ -128,7 +128,7 @@ def pfaffian(mat):
         raise OddDimension("Pfaffian needs even size")
     if any(len(r) != m for r in mat):
         raise NotAntisymmetric("matrix must be square")
-    if any(mat[i][j] + mat[j][i] for i in range(m) for j in range(i, m)):
+    if not la.is_antisymmetric(mat):
         raise NotAntisymmetric("matrix must be antisymmetric")
     return _sub_pfaffian(mat, tuple(range(m)), {})
 
@@ -223,7 +223,7 @@ def intersection_profile(eta):
 
 def is_primitive(eta):
     """True iff the coefficient gcd is 1; the zero form is rejected."""
-    g = la.gcd_list([x for row in eta.mat for x in row])
+    g = gcd(*(x for row in eta.mat for x in row))
     if g == 0:
         raise ZeroForm("the zero form has no primitivity")
     return g == 1
@@ -306,7 +306,7 @@ def is_primitive_mod_theta(eta):
     """Primitivity of the image in the quotient by the principal class line."""
     # theta has -1 in the (1, n+1) slot: adding that multiple of it zeroes the slot
     reduced = la.mat_add(eta.mat, la.mat_scale(eta.mat[0][eta.n], theta(eta.n).mat))
-    return la.gcd_list([x for row in reduced for x in row]) == 1
+    return gcd(*(x for row in reduced for x in row)) == 1
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,7 @@ class SingularDatum:
     m: int
 
     def __post_init__(self):
-        entries = (self.a, self.b, self.c, self.d_rel, self.e)
-        g = 0
-        for v in entries:
-            g = gcd(g, v)
-        if g != 1:
+        if gcd(self.a, self.b, self.c, self.d_rel, self.e) != 1:
             raise NotPrimitive("singular datum must be a primitive vector")
         if self.m < 1:
             raise RangeError("m must be a positive integer")

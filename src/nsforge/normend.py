@@ -20,7 +20,7 @@ invariants of M (``_smith_type``); ``tangent_and_lattice`` reads ``_image``.
 """
 
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from . import _intlinalg as la
 from .errors import (
@@ -166,7 +166,7 @@ def _smith_type(mat, u, d):
     They are d / D_i, each twice (see the README), and s_1 = gcd(M) suffices
     for u = 1.  A non-primitive class has s_1 > 1 and raises, as ``_image_type`` does.
     """
-    s = [la.gcd_list(x for row in mat for x in row)] if u == 1 else la.smith_invariants(mat)[::2]
+    s = [gcd(*(x for row in mat for x in row))] if u == 1 else la.smith_invariants(mat)[::2]
     if s[0] != 1:
         raise TypeExponentMismatch(f"largest divisor {d // s[0]} != exponent {d}")
     return tuple(d // x for x in reversed(s))

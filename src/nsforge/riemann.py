@@ -120,8 +120,10 @@ def _gaussian(q, re, im):
 
 
 def _int_pd(sym):
-    """Positive definiteness of a symmetric integer matrix via leading minors."""
-    return all(la.det_bareiss([row[:k] for row in sym[:k]]) > 0 for k in range(1, len(sym) + 1))
+    """Positive definiteness of a symmetric integer matrix: with no row swap, the pivots of
+    one ``la._bareiss`` pass are its leading principal minors, and all are positive."""
+    m = la.mat_copy(sym)
+    return la._bareiss(m, len(m)) == 0 and all(m[k][k] > 0 for k in range(len(m)))
 
 
 def _check_tol(tol):

@@ -151,22 +151,17 @@ def _box_steps(n):
 def _slope(n, i, k, p, q):
     """Identity (i, k), (r_i J) . r_k + d M_ik, as rest + slope x in x = M_pq = -M_qp.
 
-    J pairs entry a with a + n (mod 2n), at sign +1 for a < n.  Returns (i, k,
-    terms, times): slope = times * d + sum(sign * M[row][col] for row, col,
-    sign in terms), read with the slot at 0.  None if (i, k) = (q, p), q = p + n: x^2 enters.
+    Returns (i, k, terms, times): slope = times * d + sum(sign * MJ[row][col]
+    for row, col, sign in terms), read off M J with the slot at 0.  Row i of
+    M J moves by x (e_q J) if i = p and by -x (e_p J) if i = q, and
+    (e_q J) . r_k = -(r_k J)_q; row k of M moves by x e_q or -x e_p.  None if
+    (i, k) = (q, p), q = p + n: x^2 enters.
     """
     if (i, k, q) == (q, p, p + n):
         return None
-    terms, times = [], 0
-    for row, col, sign in ((p, q, 1), (q, p, -1)):
-        s = sign if col < n else -sign
-        if row == i:
-            terms.append((k, (col + n) % (2 * n), s))
-        if row == k:
-            terms.append((i, (col + n) % (2 * n), -s))
-        if (row, col) == (i, k):
-            times += sign
-    return i, k, terms, times
+    terms = [term for term, moves in (((k, q, -1), i == p), ((k, p, 1), i == q),
+                                      ((i, q, 1), k == p), ((i, p, -1), k == q)) if moves]
+    return i, k, terms, ((i, k) == (p, q)) - ((i, k) == (q, p))
 
 
 def _roots(coef, rest, values):
@@ -235,7 +230,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
         for i, k, terms, coef in slopes:
             coef *= d
             for r, c, s in terms:
-                coef += s * mat[r][c]
+                coef += s * mj[r][c]
             values = _roots(coef, _identity(mat, mj, i, k, d), values)
             if not values:
                 break

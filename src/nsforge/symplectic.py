@@ -4,6 +4,7 @@ saturation, and the normal form of an integer alternating pairing.
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import _intlinalg as la
 from .errors import (
@@ -152,7 +153,9 @@ def frobenius_basis(gram):
     Returns FrobeniusData(U, divisors) with U^T G U = [[0, D], [-D, 0]],
     D = diag(divisors), divisors positive with d_i | d_{i+1}.  Pivots are
     chosen as the lexicographically first entry of minimal absolute value,
-    which makes the output deterministic.
+    which makes the output deterministic.  U starts as the identity below G:
+    each basis change b_dst += q b_src is one column pass over [G; U] and a
+    row pass over G, and U is the lower half's columns, in pair order.
     """
     size = len(gram)
     if size % 2 != 0:
@@ -165,28 +168,23 @@ def frobenius_basis(gram):
     if size and abs(la.det_bareiss(g)) == 0:
         raise Degenerate("alternating form is degenerate")
 
-    u = la.identity(size)
+    g += la.identity(size)  # U, below G
 
     def add_col(dst, src, q):
-        # basis op b_dst += q b_src, applied congruently
+        # basis op b_dst += q b_src: a column pass over [G; U], then G's row pass
         if q == 0:
             return
-        for r in range(size):
-            g[r][dst] += q * g[r][src]
+        for r in g:
+            r[dst] += q * r[src]
+        gd, gs = g[dst], g[src]
         for c in range(size):
-            g[dst][c] += q * g[src][c]
-        for r in range(size):
-            u[r][dst] += q * u[r][src]
+            gd[c] += q * gs[c]
 
     active = list(range(size))
     pairs = []
     while active:
-        best = None
-        for ai, i in enumerate(active):
-            for j in active[ai + 1:]:
-                v = g[i][j]
-                if v and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
+        best = min(((i, j, g[i][j]) for i, j in combinations(active, 2) if g[i][j]),
+                   key=lambda t: abs(t[2]), default=None)
         if best is None:
             raise Degenerate("form vanishes on a nonzero sublattice")
         i, j, v = best
@@ -208,15 +206,8 @@ def frobenius_basis(gram):
                     clean = False
             if not clean:
                 break
-            stray = None
             others = [l for l in active if l not in (i, j)]
-            for a2, l in enumerate(others):
-                for l2 in others[a2 + 1:]:
-                    if g[l][l2] % d != 0:
-                        stray = l
-                        break
-                if stray is not None:
-                    break
+            stray = next((l for l, l2 in combinations(others, 2) if g[l][l2] % d), None)
             if stray is None:
                 pairs.append((i, j, d))
                 active = others
@@ -226,8 +217,7 @@ def frobenius_basis(gram):
 
     order = [p[0] for p in pairs] + [p[1] for p in pairs]
     divisors = tuple(p[2] for p in pairs)
-    u_cols = la.transpose(u)
-    u_final = la.transpose([u_cols[k] for k in order])
+    u_final = [[r[k] for k in order] for r in g[size:]]
     # exact verification of the normal form
     k = len(pairs)
     target = la.zeros(size, size)

@@ -350,7 +350,8 @@ class TestWalkerWork:
                             assert all(value(x) == rest - d * x - x * x for x in (-2, 1, 3))
                         else:
                             _, _, terms, times = slope
-                            coef = times * d + sum(s * mat[r][c] for r, c, s in terms)
+                            mj = la.mat_mul(mat, la.standard_j(n))
+                            coef = times * d + sum(s * mj[r][c] for r, c, s in terms)
                             assert all(value(x) == rest + coef * x for x in (-2, 1, 3))
 
     def test_each_hit_is_built_once(self, monkeypatch):

@@ -167,6 +167,17 @@ class TestFrobenius:
         minus = frobenius_basis(gram_matrix(la.mat_scale(-1, la.standard_j(4)), basis))
         assert plus.divisors == minus.divisors
 
+    def test_stray_entry_moves_into_the_pivot_pair(self):
+        """Blocks 2 and 3 leave no entry off the (1, 2) pair, but 3 is not a multiple of 2:
+        the stray row is added to the pair, and the divisors become (1, 6)."""
+        g = [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]
+        data = frobenius_basis(g)
+        assert data.divisors == (1, 6)
+        assert data.u_matrix == ((0, 0, 1, 3), (1, -3, 0, 0), (1, -2, 0, 0), (0, 0, 1, 2))
+        u = [list(r) for r in data.u_matrix]
+        assert la.mat_mul(la.mat_mul(la.transpose(u), g), u) == [
+            [0, 0, 1, 0], [0, 0, 0, 6], [-1, 0, 0, 0], [0, -6, 0, 0]]
+
     def test_degenerate_rejected(self):
         with pytest.raises(Degenerate):
             frobenius_basis([[0, 0], [0, 0]])
