@@ -7,8 +7,10 @@ Fraction, QQi, complex, IntPoly -- and ``solve_fraction`` any exact field.
 One Bareiss pass (``_bareiss``) serves the determinant, the integer solve and
 ``riemann``'s positive-definiteness test; ``rank_int`` stays division-free,
 which is faster on its inputs.  ``column_hnf`` carries U as rows below the
-matrix it reduces, so one column operation moves both.  Sizes stay at desk
-scale (<= 12 or so), so the simple cubic algorithms below are the right tool.
+matrix it reduces, so one column operation moves both.  ``type_form`` builds
+every standard alternating form, theta and J = -theta among them, and
+``j_times`` is J A as a reindexing of A's rows.  Sizes stay at desk scale
+(<= 12 or so), so the simple cubic algorithms below are the right tool.
 """
 
 from fractions import Fraction
@@ -70,13 +72,25 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def type_form(divisors):
+    """The standard alternating form [[0, -D], [D, 0]] of type D; theta is type 1^n."""
+    u = len(divisors)
+    g = zeros(2 * u, 2 * u)
+    for i, d in enumerate(divisors):
+        g[i][u + i] = -d
+        g[u + i][i] = d
+    return g
+
+
 def standard_j(n):
-    """The 2n x 2n block matrix [[0, I], [-I, 0]]."""
-    j = zeros(2 * n, 2 * n)
-    for i in range(n):
-        j[i][n + i] = 1
-        j[n + i][i] = -1
-    return j
+    """J = [[0, I], [-I, 0]] = -theta, 2n x 2n."""
+    return mat_scale(-1, type_form((1,) * n))
+
+
+def j_times(a):
+    """J A as an index map: A's lower half of rows, then its upper half negated."""
+    n = len(a) // 2
+    return [list(row) for row in a[n:]] + [[-x for x in row] for row in a[:n]]
 
 
 def is_antisymmetric(a):

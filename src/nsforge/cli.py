@@ -184,7 +184,7 @@ def _cmd_witness(args):
             "tau": jsonio.period_matrix_to_json(result.tau) if result.tau else None,
         }
         return CommandResult("ok" if result else "negative", payload)
-    if not (args.n and args.u and args.type):
+    if args.n is None or args.u is None or args.type is None:
         raise RangeError("witness needs --in, or --n --u --type")
     tau, eta = standard_witness(args.n, args.u, _parse_type(args.type))
     payload = {"tau": jsonio.period_matrix_to_json(tau), "eta": jsonio.two_form_to_json(eta)}

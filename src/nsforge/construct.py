@@ -104,7 +104,7 @@ def check_kd_symplectic(h, divisors):
     if not _well_defined(h, _torsion_moduli(divisors)):
         return False
     scale = divisors[-1]
-    g = _type_gram([scale // d for d in divisors])
+    g = la.type_form([scale // d for d in divisors])
     moved = la.mat_mul(la.mat_mul(la.transpose(h), g), h)
     return all((x - y) % scale == 0 for rows in zip(moved, g) for x, y in zip(*rows))
 
@@ -123,16 +123,6 @@ def _solve_torsion(g, moduli, target):
 def _swap_halves(vec):
     u = len(vec) // 2
     return list(vec[u:]) + list(vec[:u])
-
-
-def _type_gram(divisors):
-    """Gram [[0, -D], [D, 0]] of the standard type form on a factor basis."""
-    u = len(divisors)
-    g = la.zeros(2 * u, 2 * u)
-    for i, d in enumerate(divisors):
-        g[i][u + i] = -d
-        g[u + i][i] = d
-    return g
 
 
 def _frame_columns(cols, frame):
@@ -228,9 +218,9 @@ def glue(x_factor, y_factor, spec):
     assert len(basis) == m2n, "internal: glued lattice is not full rank"
     b_int = la.transpose(basis)  # columns scaled by d
 
-    gram_x = _type_gram(d_list)
+    gram_x = la.type_form(d_list)
     product = ([row + [0] * (2 * v) for row in gram_x]
-               + [[0] * (2 * u) + row for row in _type_gram(y_factor.divisors)])
+               + [[0] * (2 * u) + row for row in la.type_form(y_factor.divisors)])
     raw = la.mat_mul(la.mat_mul(la.transpose(b_int), product), b_int)
     if any(x % (d * d) for row in raw for x in row):
         raise NotPrincipal("graph lifts are not isotropic for the product form")
@@ -276,7 +266,7 @@ def standard_witness(n, u, divisors):
 @dataclass(frozen=True)
 class RealizabilityResult:
     tau: object  # PeriodMatrix or None
-    tag: str  # "ok" | "ProfileFail" | "IdempotenceFail" | "TypeFail"
+    tag: str  # "ok" | "ProfileFail" | "IdempotenceFail"
 
     def __bool__(self):
         return self.tau is not None
@@ -286,9 +276,12 @@ def is_realizable(eta):
     """Decide realizability by constructing a witness period matrix.
 
     Returns a RealizabilityResult; on success the witness satisfies the
-    vanishing condition exactly.  Failures are tagged by the first gate the
-    class misses: the intersection profile, the idempotence of its norm
-    matrix, or nondegeneracy of the type data on image and kernel.
+    vanishing condition exactly.  A failure is tagged by the first of two gates
+    the class misses: the profile, or the idempotence of its norm matrix N.
+    Nothing fails past them: N is theta-self-adjoint with N^2 = d N, so over
+    Q its image and kernel are theta-orthogonal complements, theta restricts
+    nondegenerately to both and both Frobenius frames exist; the class is
+    primitive, so s_1 = 1 and the image type's largest divisor is d.
     """
     if not is_primitive(eta):
         raise NotPrimitive("realizability is defined for primitive classes")
@@ -301,14 +294,11 @@ def is_realizable(eta):
         norm = norm_from_class(eta, u, d)
     except NsforgeError:
         return RealizabilityResult(None, "IdempotenceFail")
-    try:
-        image, frame = _image_type(norm)
-        frames = [(image.basis, frame)]
-        if u < n:
-            kernel = la.kernel_basis([list(r) for r in norm.mat])
-            frames.append((kernel, frobenius_basis(gram_matrix(theta(n).mat, kernel))))
-    except NsforgeError:
-        return RealizabilityResult(None, "TypeFail")
+    image, frame = _image_type(norm)
+    frames = [(image.basis, frame)]
+    if u < n:
+        kernel = la.kernel_basis([list(r) for r in norm.mat])
+        frames.append((kernel, frobenius_basis(gram_matrix(theta(n).mat, kernel))))
 
     # image and kernel as the factors (i I | diag(D)) of type D under -J, in their (f | e) frames
     full = la.transpose([col for cols, f in frames for col in _frame_columns(cols, f)])

@@ -1,10 +1,13 @@
 """Exact exterior algebra on integer 2-forms in 2n real coordinates.
 
 A 2-form sum a_ij dx_i ^ dx_j (i < j) is stored through its antisymmetric
-coefficient matrix.  Intersection numbers of products of 2-form classes are
-measured in units of the reference volume form, normalized so that the n-th
-power of the principal class equals n! times that unit; the normalization is
-pinned by a dedicated test anchor rather than trusted from the derivation.
+coefficient matrix; ``_pairs`` is the order of its coefficient slots, which
+``scan`` and ``riemann`` share.  The principal class theta is
+``_intlinalg.type_form((1,) * n)``, and N = J M is ``_intlinalg.j_times``.
+Intersection numbers of products of 2-form classes are measured in units of
+the reference volume form, normalized so that the n-th power of the
+principal class equals n! times that unit; the normalization is pinned by a
+dedicated test anchor rather than trusted from the derivation.
 
 The numbers of eta against the principal class (the profile, ``check_class``,
 ``check_class_mod_L`` and ``q_r``) come from one characteristic polynomial of
@@ -30,6 +33,11 @@ from .errors import (
     RangeError,
     ZeroForm,
 )
+
+
+def _pairs(n):
+    """Upper-triangle slots (i, j) of a 2n x 2n matrix, row-major: the coefficient order."""
+    return [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
 
 
 @dataclass(frozen=True)
@@ -67,14 +75,11 @@ class TwoForm:
         return self.mat[i][j]
 
     def coeffs(self):
-        m = 2 * self.n
-        return {(i, j): self.mat[i][j]
-                for i in range(m) for j in range(i + 1, m) if self.mat[i][j]}
+        return {(i, j): self.mat[i][j] for i, j in _pairs(self.n) if self.mat[i][j]}
 
     def coefficient_vector(self):
-        """Upper-triangle coefficients in row-major order."""
-        m = 2 * self.n
-        return tuple(self.mat[i][j] for i in range(m) for j in range(i + 1, m))
+        """Upper-triangle coefficients in the slot order ``_pairs``."""
+        return tuple(self.mat[i][j] for i, j in _pairs(self.n))
 
     def is_zero(self):
         return all(not x for row in self.mat for x in row)
@@ -100,7 +105,7 @@ class PrincipalClass:
     n: int
 
     def form(self):
-        return TwoForm.from_coeffs(self.n, {(i, self.n + i): -1 for i in range(self.n)})
+        return TwoForm.from_matrix(self.n, la.type_form((1,) * self.n))
 
 
 def theta(n):
@@ -183,9 +188,7 @@ def _pencil_numbers(eta):
     number is r! (n-r)! q_r; every halving below is exact.
     """
     n = eta.n
-    mat = eta.mat
-    nmat = [*mat[n:], *([-x for x in row] for row in mat[:n])]  # J M
-    e = [c if k % 2 == 0 else -c for k, c in enumerate(la.charpoly(nmat, n))]
+    e = [c if k % 2 == 0 else -c for k, c in enumerate(la.charpoly(la.j_times(eta.mat), n))]
     q = [1]
     for k in range(1, n + 1):
         half, odd = divmod(e[k] - sum(q[i] * q[k - i] for i in range(1, k)), 2)

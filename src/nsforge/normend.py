@@ -77,8 +77,7 @@ def norm_from_class(eta, u=None, d=None):
         raise RangeError("need 1 <= u <= n")
     elif d < 1:
         raise RangeError("need d >= 1")
-    j = la.standard_j(n)
-    nmat = la.mat_mul(j, [list(r) for r in eta.mat])
+    nmat = la.j_times(eta.mat)
     # trace formula: d = -(1/u) * sum of antidiagonal coefficients; since
     # trace(N) = -2 * (that sum), this also decides trace(N) = 2ud
     anti = sum(eta.mat[i][n + i] for i in range(n))
@@ -94,12 +93,10 @@ def norm_from_class(eta, u=None, d=None):
 def class_from_norm(norm):
     """Invert the norm construction: M = -J N, which must be antisymmetric."""
     mat = norm.mat if isinstance(norm, NormMatrix) else norm
-    n = len(mat) // 2
-    j = la.standard_j(n)
-    m = la.mat_scale(-1, la.mat_mul(j, [list(r) for r in mat]))
+    m = la.mat_scale(-1, la.j_times(mat))
     if not la.is_antisymmetric(m):
         raise NotSymmetricForJ("norm matrix is not symmetric for the pairing")
-    return TwoForm.from_matrix(n, m)
+    return TwoForm.from_matrix(len(mat) // 2, m)
 
 
 def complementary_class(eta, u=None, d=None):

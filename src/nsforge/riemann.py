@@ -39,9 +39,9 @@ from .errors import (
     NotInSiegel,
     RangeError,
 )
-from .exterior import TwoForm
+from .exterior import TwoForm, _pairs
 from .normend import _image, _report, norm_from_class
-from .scan import _check_box_budget, _pairs
+from .scan import _check_box_budget
 from .symplectic import is_symplectic
 
 EXACT = "exact"
@@ -281,7 +281,7 @@ def _int_residual(eta, tau):
     n = tau.n
     if eta.n != n:
         raise DimensionMismatch("form and period matrix sizes differ")
-    slots = [(p, a) for p, a in zip(_pairs(n), eta.coefficient_vector()) if a]
+    slots = list(eta.coeffs().items())
     rows = iter(_int_rows(tau, [p for p, _ in slots]))
     re, im = la.zeros(n, n), la.zeros(n, n)
     for k in range(n):

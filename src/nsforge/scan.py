@@ -62,7 +62,7 @@ from operator import mul
 
 from . import _intlinalg as la
 from .errors import BudgetExceeded, RangeError
-from .exterior import TwoForm, _sub_pfaffian, check_class
+from .exterior import TwoForm, _pairs, _sub_pfaffian, check_class
 from .normend import _smith_type, norm_from_class
 
 
@@ -100,11 +100,6 @@ def _check_box_budget(n, bound, noun):
     est = (2 * bound + 1) ** (n * (2 * n - 1))
     if est > budget:
         raise BudgetExceeded(f"{noun} space {est} exceeds budget {budget}")
-
-
-def _pairs(n):
-    """Upper-triangle slots (i, j) of a 2n x 2n matrix, row-major."""
-    return [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
 
 
 def _identity(mat, mj, i, k, d):

@@ -54,15 +54,13 @@ class FrobeniusData:
 
 
 def is_symplectic(s):
-    """True iff S J S^T = J for the standard pairing J."""
+    """True iff S (J S^T) = J for the standard pairing J."""
     m = len(s)
     if m % 2 != 0:
         raise OddDimension("symplectic matrices have even size")
     if any(len(row) != m for row in s):
         raise DimensionMismatch("matrix must be square")
-    j = la.standard_j(m // 2)
-    lhs = la.mat_mul(la.mat_mul([list(r) for r in s], j), la.transpose([list(r) for r in s]))
-    return la.mat_eq(lhs, j)
+    return la.mat_eq(la.mat_mul(s, la.j_times(la.transpose(s))), la.standard_j(m // 2))
 
 
 def act(s, eta):
@@ -219,12 +217,8 @@ def frobenius_basis(gram):
     divisors = tuple(p[2] for p in pairs)
     u_final = [[r[k] for k in order] for r in g[size:]]
     # exact verification of the normal form
-    k = len(pairs)
-    target = la.zeros(size, size)
-    for idx, d in enumerate(divisors):
-        target[idx][k + idx] = d
-        target[k + idx][idx] = -d
     check = la.mat_mul(la.mat_mul(la.transpose(u_final), [list(r) for r in gram]), u_final)
+    target = la.mat_scale(-1, la.type_form(divisors))
     assert la.mat_eq(check, target), "internal: normal form verification failed"
     for a, b in zip(divisors, divisors[1:]):
         assert b % a == 0, "internal: divisor chain broken"

@@ -323,6 +323,27 @@ class TestErrors:
         self._assert_json_error(proc, "RangeError")
 
 
+class TestWitnessFlags:
+    """``witness`` tests its data flags with ``is None``: a zero or empty value reaches
+    ``standard_witness``'s own checks, as it does for ``enum`` and ``scan``."""
+
+    @pytest.mark.parametrize("flags,code,message", [
+        (["--n", "0", "--u", "1", "--type", "1"], "RangeError", "need 1 <= u <= n - u"),
+        (["--n", "2", "--u", "0", "--type", "1"], "RangeError", "need 1 <= u <= n - u"),
+        (["--n", "2", "--u", "1", "--type", ""], "TypeMismatch", "type length must equal u"),
+    ])
+    def test_zero_or_empty_is_checked_not_missing(self, flags, code, message):
+        result = cli.run(["witness"] + flags)
+        assert result.exit_code == 2
+        assert result.payload["error"]["code"] == code
+        assert result.payload["error"]["message"].startswith(message)
+
+    def test_absent_flag_is_still_missing(self):
+        result = cli.run(["witness", "--n", "2", "--u", "1"])
+        assert result.exit_code == 2
+        assert result.payload["error"]["message"] == "witness needs --in, or --n --u --type"
+
+
 class TestInDocumentOwnsItsData:
     """``enum --in`` and ``witness --in`` refuse the data flags the document would override."""
 

@@ -25,6 +25,7 @@ from nsforge import _intlinalg as la
 from nsforge.errors import NotPrimitive, RangeError, TypeMismatch
 from nsforge.humbert import singular_from_eta
 from nsforge.riemann import tau_var_pairs
+from test_kernel_pins import divisor_chains
 
 
 def exact_tau(entries):
@@ -206,4 +207,35 @@ class TestIsRealizable:
             tags[res.tag] += 1
             if res.tag == "ok":
                 assert wedge_vanishes(eta, res.tau)
+        assert tags["ok"] > 0 and tags["IdempotenceFail"] > 0
+
+    def test_two_gates_decide_every_tag(self):
+        """The tag is one of three, and ok exactly when the norm matrix verifies.
+
+        Over the n = 2 enumeration (u <= 2, d <= 3, bound <= 2) and seeded
+        images of every witness with n <= 5 and divisors <= 4, with their
+        complements, no third gate fires.
+        """
+        from nsforge import (EnumerationSpec, act, enumerate_classes, norm_from_class,
+                             random_symplectic)
+        from nsforge.errors import NsforgeError
+
+        classes = [e for u in (1, 2) for d in (1, 2, 3)
+                   for e in enumerate_classes(EnumerationSpec(2, u, d, 2))]
+        for n in range(2, 6):
+            for u in range(1, n // 2 + 1):
+                for divisors in divisor_chains(u, 4):
+                    _, eta = standard_witness(n, u, divisors)
+                    image = act(random_symplectic(n, len(classes), 6), eta)
+                    classes += [image, divisors[-1] * theta(n) - image]
+        tags = {}
+        for eta in classes:
+            tag = is_realizable(eta).tag
+            try:
+                verified = bool(norm_from_class(eta))
+            except NsforgeError:
+                verified = False
+            assert tag in ("ok", "ProfileFail", "IdempotenceFail")
+            assert (tag == "ok") == verified
+            tags[tag] = tags.get(tag, 0) + 1
         assert tags["ok"] > 0 and tags["IdempotenceFail"] > 0
