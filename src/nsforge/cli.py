@@ -174,7 +174,7 @@ def _cmd_glue(args):
 
 
 def _cmd_witness(args):
-    if args.infile:
+    if args.infile is not None:
         _no_data_flags(args)
         eta = jsonio.two_form_from_json(_read_json(args.infile))
         result = is_realizable(eta)
@@ -202,7 +202,7 @@ def _cmd_scan(args):
 
 
 def _cmd_enum(args):
-    if args.infile:
+    if args.infile is not None:
         _no_data_flags(args)
         spec = jsonio.enumeration_spec_from_json(_read_json(args.infile))
     else:
@@ -291,7 +291,7 @@ def run(argv):
 
 def main(argv=None):
     result, outfile = _run(sys.argv[1:] if argv is None else list(argv))
-    if outfile:
+    if outfile is not None:
         try:
             with open(outfile, "w", encoding="utf-8") as fh:
                 fh.write(jsonio.dumps(result.payload))

@@ -9,7 +9,9 @@ lattices, the polarization type on the image, and the complementary class.
 once.  Since J theta = I, Pf(t M + theta)^2 = det(I + t N), so a verified
 N^2 = d N of rank 2u (d >= 1) already fixes the (u, d) profile, and
 d I - N certifies d theta - eta as the (n - u, d) complement.  Callers that
-know (u, d) skip ``check_class``; ``complementary_class`` is the oracle.
+know (u, d) pass it and skip ``check_class`` (``is_realizable``, ``nsforge norm
+--u --d``); ``scan_ppav`` makes no call, its walker's leaf having proven N^2 = d N
+and the trace.  ``complementary_class`` is the oracle.
 
 The norm matrix fixes the whole certificate.  Only ``is_realizable``
 builds the Frobenius frame of theta on the image (``_image_type``), which it

@@ -20,6 +20,8 @@ one integer Cramer solve of F X = E for an integer period block (E | F), in
 (``tests/oracle.py``); both ``scan_ppav`` backends search with ``scan._walk``,
 the exact one over the vanishing lattice, the float one over the box (the
 identity lattice) like ``enumerate_classes``, its residual rows bounding a slot.
+Each fact is decided once: a scan hit's walker leaf is its certificate (``scan_ppav``),
+and the tangent's dimension is the u that the vanishing test and the certificate fix.
 """
 
 import cmath
@@ -40,7 +42,7 @@ from .errors import (
     RangeError,
 )
 from .exterior import TwoForm, _pairs
-from .normend import _image, _report, norm_from_class
+from .normend import NormMatrix, _image, _report, norm_from_class
 from .scan import _check_box_budget
 from .symplectic import is_symplectic
 
@@ -368,53 +370,22 @@ def tangent_and_lattice(eta, tau, tol=DEFAULT_TOL):
     """Complex tangent and period data of the subvariety a class detects.
 
     Both matrices are (tau | I) applied to the saturated image basis of the
-    norm matrix: the column span over C is the u-dimensional tangent space,
+    norm matrix: the column span over C is the u-dimensional tangent space
+    (the vanishing test and the certificate have decided its dimension),
     and the integer span of the columns is the period lattice.
     """
     if not wedge_vanishes(eta, tau, tol=tol):
         raise NotAnalytic("class does not vanish for this period matrix")
-    norm = norm_from_class(eta)
-    n, u = eta.n, norm.u
-    basis = _image(norm).basis  # 2u columns
+    n, basis = eta.n, _image(norm_from_class(eta)).basis  # 2u columns
     if tau.backend == EXACT:
         # q (tau | I) b = q (I | -tau) (b_bottom; -b_top): the period block on swapped columns
         swapped = la.transpose([list(b[n:]) + [-x for x in b[:n]] for b in basis])
         re_im = la.mat_mul(_period_block(tau), swapped)
-        re, im = re_im[:n], re_im[n:]
-        mat = _gaussian(tau.q, re, im)
-        rank = la.rank_int(_real_form(re, im)) // 2
+        mat = _gaussian(tau.q, re_im[:n], re_im[n:])
     else:
         periods = [list(row) + [int(i == k) for i in range(n)] for k, row in enumerate(tau.rows)]
         mat = la.mat_mul(periods, la.transpose(basis))
-        rank = _float_rank(mat, tol)
-    assert rank == u, f"internal: tangent rank {rank} != u = {u}"
     return {"tangent": mat, "lattice": mat}
-
-
-def _float_rank(mat, tol):
-    rows = [list(r) for r in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        cand = max(range(r, len(rows)), key=lambda i: abs(rows[i][c]), default=None)
-        piv = cand if cand is not None and abs(rows[cand][c]) > tol else None
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / inv
-                for j in range(c, ncols):
-                    rows[i][j] = rows[i][j] - f * rows[r][j]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
 
 
 def _coefficient_lattice(tau):
@@ -437,6 +408,10 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
     margin) bounds one slot and ``_within`` decides each leaf.  The float
     walk is ``enumerate_classes``'s ``scan._walk_chunks``: one walk for
     jobs <= 1, else one chunk per value of slot 0 in worker processes.
+
+    A hit's leaf is its certificate: with d >= 1, M J M = d M and trace -u d make N = J M
+    the norm matrix (rank tr N / d = 2u), and an exact hit lies in the kernel of the minors
+    (``_int_rows``) that the vanishing test evaluates, so no hit is decided again.
     """
     if bound < 1:
         raise RangeError("bound must be >= 1")
@@ -454,13 +429,8 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
         rows = _float_rows(tau)
         hits = [hit for hit in scan._walk_chunks(n, u, d, bound, True, jobs, (rows, tol))
                 if _within(rows, hit[0], tol)]
-    reports = []
-    for _, mat in sorted(hits):
-        eta = TwoForm(n, mat)
-        if tau.backend == EXACT:
-            assert wedge_vanishes(eta, tau), "internal: kernel member fails the wedge test"
-        reports.append(_report(eta, norm_from_class(eta, u, d)))
-    return reports
+    return [_report(TwoForm(n, mat), NormMatrix(n, la.mat_freeze(la.j_times(mat)), u, d))
+            for _, mat in sorted(hits)]
 
 
 def _float_rows(tau):

@@ -14,10 +14,11 @@ the step's value where it is one:
 - the trace: certified (u, d) classes have antidiagonal sum -u d.  Its
   slack bounds each antidiagonal slot and fixes the last one; a column that
   completes the trace before that slot tests it at its pivot;
-- the rank: M has rank at most 2u.  Idempotent and typed modes test the
-  complete rows with ``rank_int`` once there are more than 2u of them,
-  except at the last slot, where the row identity decides.  Profile-only
-  mode prunes only for u = n - 1, where Pf(M) = 0 is solved for the last slot;
+- the rank: M has rank at most 2u, and no step tests it.  Idempotent and
+  typed modes need no test: at the leaf the row identities and the trace
+  force rank N = tr N / d = 2u, and the identities cut the subtrees a rank
+  test would, a few slots later.  Profile-only mode prunes only for
+  u = n - 1, where Pf(M) = 0 is solved for the last slot;
 - the row identity: N = J M satisfies N^2 = d N iff M J M = d M, that is
   (r_i J) . r_k = -d M_ik for all rows k < i, one dot product against M J
   (``_identity``).  Identity (i, k) runs once, at the pivot of the last
@@ -201,12 +202,8 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
     target = -u * d
     anti = [j == i + n for i, j in pairs]
     slack = [bound * sum(anti[k + 1:]) for k in range(len(pairs))]
-    # rows 0..i are complete at the last slot of row i.  A profile bounds
-    # rank(M) by 2u only when n - u <= 1: N = J M is skew-Hamiltonian, so its
-    # Jordan blocks come in pairs, and a 0-eigenvalue of multiplicity
-    # 2n - 2u >= 4 can carry two blocks of size 2 (u = n bounds nothing)
-    rank_rows = [i + 1 if idempotent and j == m - 1 and i + 1 > 2 * u
-                 and idx < last else 0 for idx, (i, j) in enumerate(pairs)]
+    # a profile bounds rank(M) by 2u only when n - u <= 1 (N = J M is skew-Hamiltonian: a
+    # 0-eigenvalue of multiplicity 2n - 2u >= 4 can carry two 2-blocks): solve Pf(M) = 0
     solve_pf = not idempotent and u == n - 1
     steps = _box_steps(n) if lattice is None else _lattice_steps(n, lattice)
     budget, nodes = _LATTICE_NODE_BUDGET, 0
@@ -283,8 +280,6 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
         for a in values:
             ri[j], rj[i], qi[ci], qj[cj] = a, -a, si * a, sj * a
             vec[idx] = a
-            if rank_rows[idx] and la.rank_int(mat[:rank_rows[idx]]) > 2 * u:
-                continue
             if not tests:
                 dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
                 continue

@@ -27,6 +27,7 @@ sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
 
 from nsforge import cli, jsonio  # noqa: E402
 from test_kernel_pins import divisor_chains  # noqa: E402
+from test_walker_pins import SCAN_PINS, search_grid  # noqa: E402
 
 
 @contextmanager
@@ -238,6 +239,18 @@ def cases():
                  ["scan", "--in", "e.json"], ["profile", "--in", "e.json", "extra"],
                  ["act", "--in", "e.json", "--seed", "1.5"]):
         add(argv, eta0 if "e.json" in argv else None)
+
+    # every scan of tests/test_walker_pins.py's SCAN_PINS, whose pins hash only the vectors
+    grid = search_grid()
+    for name, backend, u, d, bound, _, _ in SCAN_PINS:
+        add(["scan", "--tau", "t.json", "--u", str(u), "--d", str(d), "--bound", str(bound),
+             "--backend", backend], {"t.json": jsonio.period_matrix_to_json(grid[name])})
+
+    # an empty --in is a path, with and without the data flags beside it
+    add(["witness", "--in", ""])
+    add(["witness", "--in", "", "--n", "2", "--u", "1", "--type", "1"])
+    add(["enum", "--in", ""])
+    add(["enum", "--in", "", "--n", "2", "--u", "1", "--d", "1", "--bound", "1"])
     return out
 
 

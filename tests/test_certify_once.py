@@ -7,6 +7,11 @@ the (u, d) one, and d I - N certifies the complement.  ``analyze``,
 instead of re-running ``check_class`` and ``complementary_class``; the tests
 below keep those two public functions as the oracles of the shortcut.
 
+A scan hit's walker leaf has proven M J M = d M and the trace -u d, and an
+exact hit lies in the vanishing lattice, so ``scan_ppav`` decides neither
+fact again: ``norm_from_class``, ``analyze`` and ``wedge_vanishes`` are the
+oracles its reports are checked against on every ``SCAN_PINS`` case.
+
 The norm matrix fixes the whole certificate; only ``is_realizable`` builds
 the Frobenius frame of theta on its image (``normend._image_type``).
 ``glue``, ``standard_witness``, ``is_realizable``, ``tangent_and_lattice``
@@ -54,11 +59,13 @@ from nsforge import (
     symplectic,
     tangent_and_lattice,
     theta,
+    wedge_vanishes,
 )
 from nsforge import _intlinalg as la
 from nsforge.errors import NsforgeError
 
 from conftest import type22_class
+from test_walker_pins import SCAN_PINS, search_grid
 
 
 def test_pfaffian_square_is_det_of_identity_plus_tn():
@@ -150,6 +157,27 @@ def test_scan_does_not_reprofile(monkeypatch):
     reports = scan_ppav(tau, 2, 2, 1)
     assert type22_class() in [r.eta for r in reports]
     assert profiles.calls == 0
+
+
+def test_scan_hits_are_their_leaves_certificates(monkeypatch):
+    """``scan_ppav`` reports each hit from its walker leaf: on every ``SCAN_PINS`` case it
+    computes no rank and calls neither ``norm_from_class`` nor ``wedge_vanishes``, and those
+    re-checks, run here, agree with every report."""
+    grid = search_grid()
+    cases = [(grid[name] if backend == grid[name].backend else grid[name].to_float(), u, d, bound)
+             for name, backend, u, d, bound, _, _ in SCAN_PINS]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan_ppav decided a fact again")
+
+    with monkeypatch.context() as patched:
+        for original in (la.rank_int, norm_from_class, wedge_vanishes):
+            _patch_every_binding(patched, original, refuse)
+        scans = [scan_ppav(*case) for case in cases]
+    for (tau, _, _, _), reports in zip(cases, scans):
+        assert reports == [analyze(r.eta) for r in reports]
+        assert all(wedge_vanishes(r.eta, tau) for r in reports)
+    assert sum(map(len, scans)) == sum(pin[5] for pin in SCAN_PINS) > 0
 
 
 def test_pfaffian_and_search_walks_leave_no_reference_cycles():

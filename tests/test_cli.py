@@ -184,6 +184,14 @@ class TestErrors:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert json.loads(proc.stderr)["error"]["code"] == "RangeError"
 
+    def test_empty_out_is_one_json_error(self, tmp_path, capsys):
+        """``--out ""`` names a file that cannot be written, not stdout."""
+        assert cli.main(["profile", "--in", write_json(tmp_path, "e.json", ETA0), "--out", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "RangeError" and error["message"].startswith("cannot write : ")
+
     def test_bad_usage(self):
         proc = run_cli(["analytic"])  # missing --in/--tau
         assert proc.returncode == 2
@@ -367,6 +375,23 @@ class TestInDocumentOwnsItsData:
         path = write_json(tmp_path, "doc.json", self.DOCS[command])
         for extra in ([], ["--jobs", "1"]) if command == "enum" else ([],):
             assert cli.run([command, "--in", path] + extra).exit_code == 0
+
+
+    @pytest.mark.parametrize("command,flags", [
+        ("enum", ["--n", "2", "--u", "1", "--d", "1", "--bound", "1"]),
+        ("witness", ["--n", "2", "--u", "1", "--type", "1"])])
+    def test_empty_in_is_a_path(self, capsys, command, flags):
+        """``--in ""`` is a file name, as for every command: alone it cannot be read, and the
+        data flags beside it are refused, not run."""
+        result = cli.run([command, "--in", ""])
+        assert result.exit_code == 2
+        assert result.payload["error"]["message"].startswith("cannot read : ")
+        assert cli.main([command, "--in", ""] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "RangeError"
+        assert error["message"].startswith(f"{command} --in takes its data from the document")
 
 
 class TestDeclaredFlags:

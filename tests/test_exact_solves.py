@@ -40,7 +40,7 @@ from nsforge import (
 from nsforge import _intlinalg as la
 from nsforge import jsonio
 from nsforge.errors import NotAlternating, NotInSiegel
-from nsforge.riemann import _int_pd
+from nsforge.riemann import _int_pd, _real_form
 
 import oracle
 
@@ -102,6 +102,10 @@ def check_tangent(eta, tau, u):
     got = tangent_and_lattice(eta, tau)
     assert got["tangent"] == got["lattice"] == mat
     assert rank == u
+    # the tangent spans u complex dimensions: rank_int of the real form of q (tau | I) B is 2u
+    re = [[int(x.re * tau.q) for x in row] for row in mat]
+    im = [[int(x.im * tau.q) for x in row] for row in mat]
+    assert la.rank_int(_real_form(re, im)) == 2 * u
 
 
 def glue_grid(rng):

@@ -1,5 +1,5 @@
 """Structure guards on ``src/nsforge``, read from the source: no dead module-level
-function, and no module importing from a higher layer.
+function or class method, and no module importing from a higher layer.
 
 The layers are ROADMAP's: L0 ring kernels, L1 class invariants, L2 analytic
 tests, L3 constructions, L4 searches, L5 the wire formats and the CLI.
@@ -7,6 +7,7 @@ tests, L3 constructions, L4 searches, L5 the wire formats and the CLI.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -32,6 +33,11 @@ UNREFERENCED = {
     "cli.run": "the CLI's in-process entry point, which tests and perfbench's cli workload call",
 }
 
+# methods kept although no src code reads them, each with its reason
+UNREAD_METHODS = {
+    "_poly.IntPoly.evaluate": "the tests evaluate relations at tau, test_acceptance.py among them",
+}
+
 # imports of a higher layer, each with its reason
 UPWARD = {
     ("riemann", "scan"): "scan_ppav walks with scan._walk and checks scan's box budget",
@@ -44,13 +50,34 @@ def _names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+PUBLIC = set(nsforge.__all__) | {command.handler.__name__ for command in cli._COMMANDS.values()}
+EVERYWHERE = sum(map(_names, TREES.values()), Counter())
+
+
+def _dead(node):
+    """A function that is not public and whose name nothing outside its own body reads."""
+    return (isinstance(node, ast.FunctionDef) and node.name not in PUBLIC
+            and EVERYWHERE[node.name] == _names(node)[node.name])
+
+
 def test_every_module_level_function_is_used():
-    public = set(nsforge.__all__) | {command.handler.__name__ for command in cli._COMMANDS.values()}
-    everywhere = sum(map(_names, TREES.values()), Counter())
     dead = sorted(f"{module}.{node.name}" for module, tree in TREES.items() for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name not in public
-                  and everywhere[node.name] == _names(node)[node.name])
+                  if _dead(node))
     assert dead == sorted(UNREFERENCED)
+
+
+def test_every_method_is_used():
+    """Dunder methods and overrides (``cli._Parser.error``) are called by the language or a
+    base class, not by name in ``src``, and are not checked."""
+    def inherited(module, cls, name):
+        return any(name in vars(base) for base in
+                   getattr(importlib.import_module(f"nsforge.{module}"), cls).__mro__[1:])
+
+    dead = sorted(f"{module}.{cls.name}.{node.name}" for module, tree in TREES.items()
+                  for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if _dead(node) and not node.name.startswith("__")
+                  and not inherited(module, cls.name, node.name))
+    assert dead == sorted(UNREAD_METHODS)
 
 
 def test_no_module_imports_a_higher_layer():

@@ -359,6 +359,19 @@ class TestTangentAndLattice:
         res = tangent_and_lattice(eta0, tau)
         assert len(res["tangent"]) == 4 and len(res["tangent"][0]) == 4
 
+    def test_float_tangent_decides_no_rank(self):
+        """A class that vanishes within a large tol gets its matrices, which do not depend on
+        tol: no pivot threshold re-decides the tangent's dimension."""
+        diag = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
+        elliptic = TwoForm.from_coeffs(2, {(0, 2): -1})
+        tau4, eta4 = standard_witness(4, 2, (2, 2))
+        for eta, tau, u, tol in [(elliptic, diag, 1, 1.0), (elliptic, diag, 1, 2.0),
+                                 (eta4, tau4.to_float(), 2, 3.0)]:
+            assert wedge_vanishes(eta, tau, tol=tol)
+            res = tangent_and_lattice(eta, tau, tol=tol)
+            assert res == tangent_and_lattice(eta, tau)
+            assert len(res["tangent"]) == eta.n and len(res["tangent"][0]) == 2 * u
+
 
 class TestMoebiusInvariance:
     def test_vanishing_transported(self, eta0):
@@ -548,21 +561,20 @@ class TestSearchCore:
         assert set(fake_pool) == {2}
 
     def test_exact_scan_certifies_only_identity_points(self, monkeypatch):
-        certified = []
-        original = riemann.norm_from_class
+        """Each hit's leaf is its certificate: no ``norm_from_class`` runs per hit, and every
+        report's class satisfies M J M = d M."""
+        tau = is_realizable(type22_class()).tau
 
-        def counted(eta, u, d):
-            certified.append((eta, d))
-            return original(eta, u, d)
+        def refuse(*args):
+            pytest.fail("scan_ppav certified a hit again with norm_from_class")
 
-        monkeypatch.setattr(riemann, "norm_from_class", counted)
-        reports = scan_ppav(is_realizable(type22_class()).tau, 2, 2, 1)
+        monkeypatch.setattr(riemann, "norm_from_class", refuse)
+        reports = scan_ppav(tau, 2, 2, 1)
         assert type22_class() in [r.eta for r in reports]
         j = la.standard_j(4)
-        for eta, d in certified:
-            m = [list(r) for r in eta.mat]
-            assert la.mat_mul(la.mat_mul(m, j), m) == la.mat_scale(d, m)
-        assert len(certified) == len(reports)
+        for r in reports:
+            m = [list(row) for row in r.eta.mat]
+            assert la.mat_mul(la.mat_mul(m, j), m) == la.mat_scale(r.d, m)
 
     @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_d_below_one_returns_before_walking(self, monkeypatch, backend):

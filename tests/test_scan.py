@@ -1,5 +1,4 @@
 import random
-import types
 
 import pytest
 
@@ -267,19 +266,21 @@ class TestWalkerWork:
         assert len(enumerate_classes(EnumerationSpec(2, 1, 2, 3))) == 980
         assert calls == []
 
-    @pytest.mark.parametrize("n,u,d,bound", [spec for spec in ENUM_GRID if spec[1] == 1])
+    @pytest.mark.parametrize("n,u,d,bound", ENUM_GRID)
     def test_profile_only_walk_runs_no_rank(self, monkeypatch, n, u, d, bound):
-        """u = n - 1 solves the last slot from Pf(M) = 0 instead of ranking each leaf."""
-        spec = EnumerationSpec(n, u, d, bound)
-        expected = enumerate_classes(spec)
+        """No mode computes a rank: profile-only u = n - 1 solves the last slot from
+        Pf(M) = 0, and in idempotent and typed modes the row identities and the trace decide it."""
+        specs = [EnumerationSpec(n, u, d, bound, require_idempotent=True)]
+        specs += [EnumerationSpec(n, u, d, bound)] if u == 1 else []
+        if bound <= 2:
+            specs += [EnumerationSpec(n, u, d, bound, require_type=t) for t in _type_choices(u, d)]
+        expected = [enumerate_classes(spec) for spec in specs]
 
         def refuse(a):
             raise AssertionError("the walker computed a rank")
 
-        proxy = types.SimpleNamespace(**vars(scan.la))
-        proxy.rank_int = refuse
-        monkeypatch.setattr(scan, "la", proxy)
-        assert enumerate_classes(spec) == expected
+        monkeypatch.setattr(la, "rank_int", refuse)
+        assert [enumerate_classes(spec) for spec in specs] == expected
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_profile_only_unit_surface_walks_idempotent(self, monkeypatch, d):
