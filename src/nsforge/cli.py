@@ -150,7 +150,7 @@ def _load_tau(args):
 
 def _cmd_analytic(args):
     eta = jsonio.two_form_from_json(_read_json(args.infile))
-    if not args.tau:
+    if args.tau is None:
         raise RangeError("analytic needs --tau")
     tau = _load_tau(args)
     vanishes = wedge_vanishes(eta, tau, tol=args.tol)
@@ -192,7 +192,7 @@ def _cmd_witness(args):
 
 
 def _cmd_scan(args):
-    if not args.tau:
+    if args.tau is None:
         raise RangeError("scan needs --tau")
     if args.u is None or args.d is None or args.bound is None:
         raise RangeError("scan needs --u --d --bound")

@@ -62,10 +62,11 @@ class SubvarietyReport:
 def norm_from_class(eta, u=None, d=None):
     """Build and verify the norm matrix of a certified class.
 
-    When (u, d) is not supplied it is taken from check_class; a supplied one
-    needs 1 <= u <= n and d >= 1.  Either way all invariants are re-verified:
-    idempotence N^2 = d N, rank 2u, and trace 2ud through the trace formula
-    for d along the antidiagonal slots.
+    When (u, d) is not supplied it is taken from check_class, whose profile
+    fixes I_1 = (n-1)! u d and so trace(N) = 2ud; a supplied one needs
+    1 <= u <= n, d >= 1 and antidiagonal sum -u d (trace(N) is -2 times it).
+    N^2 = d N with that trace and d >= 1 forces rank N = tr N / d = 2u, so the
+    rank is computed only to name a failure (``RankMismatch``).
     """
     if eta.is_zero():
         raise ZeroForm("zero class has no norm matrix")
@@ -79,15 +80,12 @@ def norm_from_class(eta, u=None, d=None):
         raise RangeError("need 1 <= u <= n")
     elif d < 1:
         raise RangeError("need d >= 1")
-    nmat = la.j_times(eta.mat)
-    # trace formula: d = -(1/u) * sum of antidiagonal coefficients; since
-    # trace(N) = -2 * (that sum), this also decides trace(N) = 2ud
-    anti = sum(eta.mat[i][n + i] for i in range(n))
-    if anti != -u * d:
+    elif (anti := sum(eta.mat[i][n + i] for i in range(n))) != -u * d:
         raise TraceMismatch(f"antidiagonal sum {anti} != -u*d = {-u * d}")
-    if la.rank_int(nmat) != 2 * u:
-        raise RankMismatch(f"rank(N) != {2 * u}")
+    nmat = la.j_times(eta.mat)
     if not la.mat_eq(la.mat_mul(nmat, nmat), la.mat_scale(d, nmat)):
+        if la.rank_int(nmat) != 2 * u:
+            raise RankMismatch(f"rank(N) != {2 * u}")
         raise NotIdempotent("N^2 != d N")
     return NormMatrix(n, la.mat_freeze(nmat), u, d)
 

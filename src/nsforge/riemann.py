@@ -22,6 +22,8 @@ the exact one over the vanishing lattice, the float one over the box (the
 identity lattice) like ``enumerate_classes``, its residual rows bounding a slot.
 Each fact is decided once: a scan hit's walker leaf is its certificate (``scan_ppav``),
 and the tangent's dimension is the u that the vanishing test and the certificate fix.
+Positive definiteness has one exact test, ``_int_pd``: a binary64 imaginary part is
+dyadic, so ``_dyadic`` scales it to integers and no threshold depends on its scale.
 """
 
 import cmath
@@ -41,15 +43,14 @@ from .errors import (
     NotInSiegel,
     RangeError,
 )
-from .exterior import TwoForm, _pairs
+from .exterior import _pairs
 from .normend import NormMatrix, _image, _report, norm_from_class
 from .scan import _check_box_budget
-from .symplectic import is_symplectic
+from .symplectic import SymplecticMatrix, is_symplectic
 
 EXACT = "exact"
 FLOAT = "float"
 DEFAULT_TOL = 1e-9
-_CHOL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class PeriodMatrix:
             raise NotInSiegel("period matrix entries must be finite")
         if any(tuple(zip(*part)) != part for part in parts):
             raise NotInSiegel("period matrix must be symmetric")
-        if not (_int_pd if self.backend == EXACT else _float_pd)(self.im):
+        if not _int_pd(self.im if self.backend == EXACT else _dyadic(self.im)):
             raise NotInSiegel("imaginary part is not positive definite")
 
     @classmethod
@@ -101,9 +102,6 @@ class PeriodMatrix:
             return la.mat_freeze(_gaussian(self.q, self.re, self.im))
         return tuple(tuple(map(complex, *rows)) for rows in zip(self.re, self.im))
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def to_float(self):
         """The float tau: int / int is correctly rounded, as ``float(Fraction)`` is."""
         if self.backend == FLOAT:
@@ -121,6 +119,13 @@ def _gaussian(q, re, im):
     return [[QQi(Fraction(x, q), Fraction(y, q)) for x, y in zip(*rows)] for rows in zip(re, im)]
 
 
+def _dyadic(part):
+    """The integer matrix 2^e part of a binary64 matrix part, for the least such e."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in part]
+    q = max((den for row in ratios for _, den in row), default=1)
+    return [[num * (q // den) for num, den in row] for row in ratios]
+
+
 def _int_pd(sym):
     """Positive definiteness of a symmetric integer matrix: with no row swap, the pivots of
     one ``la._bareiss`` pass are its leading principal minors, and all are positive."""
@@ -129,24 +134,12 @@ def _int_pd(sym):
 
 
 def _check_tol(tol):
-    """A float tolerance is finite and >= 0; ``--tol`` reaches the analytic calls unchecked."""
+    """A float tolerance is finite, >= 0 and below 1 (from 1 on, ``_within`` keeps every
+    entry); ``--tol`` reaches the analytic calls unchecked."""
     if not (tol >= 0 and isfinite(tol)):
         raise RangeError(f"tol must be finite and >= 0, got {tol!r}")
-
-
-def _float_pd(sym):
-    """Cholesky with a small pivot tolerance."""
-    n = len(sym)
-    m = [list(map(float, row)) for row in sym]
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= _CHOL_TOL:
-            return False
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
+    if tol >= 1:
+        raise RangeError(f"tol must be below 1, within which every entry lies, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -429,8 +422,8 @@ def scan_ppav(tau, u, d, bound, tol=DEFAULT_TOL, jobs=1):
         rows = _float_rows(tau)
         hits = [hit for hit in scan._walk_chunks(n, u, d, bound, True, jobs, (rows, tol))
                 if _within(rows, hit[0], tol)]
-    return [_report(TwoForm(n, mat), NormMatrix(n, la.mat_freeze(la.j_times(mat)), u, d))
-            for _, mat in sorted(hits)]
+    return [_report(eta, NormMatrix(n, la.mat_freeze(la.j_times(eta.mat)), u, d))
+            for _, eta in sorted(hits)]
 
 
 def _float_rows(tau):
@@ -451,15 +444,15 @@ def moebius(s, tau):
     """Action (alpha tau + beta)(gamma tau + delta)^{-1}; exact backend only.
 
     S must be a 2n x 2n symplectic matrix, which keeps gamma tau + delta
-    invertible on the Siegel space.
+    invertible on the Siegel space; as in ``act``, only a raw matrix is checked.
     """
     if tau.backend != EXACT:
         raise RangeError("the fractional action is implemented for the exact backend")
-    mat = s.mat if hasattr(s, "mat") else s
+    mat = s.mat if isinstance(s, SymplecticMatrix) else s
     n = tau.n
     if len(mat) != 2 * n:
         raise DimensionMismatch("matrix size does not match the period matrix")
-    if not is_symplectic(mat):
+    if not isinstance(s, SymplecticMatrix) and not is_symplectic(mat):  # checked when built
         raise NotAlternating("matrix is not symplectic")
     # with tau = (A + iB) / q, q (num; den) = S (A; qI) + i S (B; 0), and the
     # X solving den^T X = num^T is (num den^{-1})^T, which is symmetric

@@ -25,11 +25,11 @@ the step's value where it is one:
   column touching rows i and k.  Where that column sets only its slot
   (always, in the box) and the identity is linear in it, it is solved for
   the slot's value (``_slope``); otherwise it is tested once the step
-  writes the slots it completes.  Profile-only mode does not
-  prune on it: it tells the leaf whether the identities hold;
+  writes the slots it completes.  Profile-only mode evaluates no
+  identity: ``check_class`` decides each of its leaves;
 - the residual (float scan): ``riemann._within`` keeps a leaf only if each
   residual row has |b + c1 x1 + c2 x2| <= (tol + eps) S, where x1, x2 are
-  the last two slots the trace does not force, b holds the other slots with
+  the last two slots the trace does not force, b sums the other slots with
   the forced one substituted, and S = bound * sum |c|.  The real 2 x 2
   system then puts x1 within |c2| (tol + eps) S / |D| of Im(conj(c2) b) / D,
   D = Im(conj(c1) c2) (the radius taken 1 + eps larger), and ``_within``
@@ -39,13 +39,14 @@ the step's value where it is one:
   S >= 2^1000, where ``_within`` may overflow (``_residual_windows``).
 
 With d >= 1, M J M = d M and the trace -u d certify the class (the rank is
-then 2u), and so fix its (u, d) profile.  Profile-only mode accepts such
-leaves and runs ``check_class`` only on the rest, since the profile alone
-does not imply idempotence; at (n, u) = (2, 1) the profile forces the
-identity, so that walk prunes on it.  A primitive leaf that may pass freezes
-the M it holds once; ``check_class`` and the hit's ``TwoForm`` read those
-rows.  Typed mode reads the type of its hits off the Smith invariants of M
-(``normend._smith_type``).
+then 2u), and so fix its (u, d) profile: idempotent mode keeps every
+primitive leaf.  The profile alone does not imply idempotence, so
+profile-only mode runs ``check_class`` on every primitive leaf; each leaf
+has trace -u d, so one that satisfies the identities passes it.  At
+(n, u) = (2, 1) the profile forces the identity, so that walk is idempotent.
+Each primitive leaf builds its ``TwoForm`` once, from M; ``check_class``,
+``enumerate_classes`` and ``scan_ppav`` read that one.  Typed mode reads the
+type of its hits off the Smith invariants of M (``normend._smith_type``).
 
 ``enumerate_classes`` and the float scan walk the box through
 ``_walk_chunks``: one walk for jobs <= 1, else one walk per value of slot 0
@@ -186,7 +187,7 @@ def _residual_windows(n, rows, tol, bound):
 
 
 def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
-    """(coefficient vector, frozen matrix) of each primitive class in the box, in walk order.
+    """(coefficient vector, TwoForm) of each primitive class in the box, in walk order.
 
     Profile-only mode (``idempotent`` false) keeps the leaves whose profile
     is (u, d); idempotent mode keeps those whose norm matrix certifies at
@@ -194,7 +195,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
     to its points; by default it is the identity basis, the whole box.
     ``first`` fixes slot 0.  ``residual``, the float scan's
     (``riemann._float_rows``, tol), bounds one slot (``_residual_windows``).
-    M J is kept beside M (``_identity``), and each hit's M is frozen at its leaf.
+    M J is kept beside M (``_identity``), and each hit's TwoForm is built at its leaf.
     """
     m = 2 * n
     pairs = _pairs(n)
@@ -218,7 +219,7 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
     free1, windows = _residual_windows(n, *residual, bound) if residual else (-1, ())
 
     def solutions(slopes, values):
-        """The values of the step's slot (now 0) for which each identity it fixes holds."""
+        """The values of the step's slot (now 0) that satisfy each identity it fixes."""
         for i, k, terms, coef in slopes:
             coef *= d
             for r, c, s in terms:
@@ -238,15 +239,15 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
             ri[j], rj[i], qi[ci], qj[cj] = x, -x, si * x, sj * x
         return not trace_fixed or sum(mat[k][n + k] for k in range(n)) == target
 
-    def dfs(idx, trace, holds):
+    def dfs(idx, trace):
         nonlocal nodes
         if idx > last:
             key = tuple(vec)
-            # M J M = d M and the trace -u d certify a primitive leaf: its profile is (u, d)
-            if gcd(*key) == 1 and (holds or not idempotent):
-                rows = tuple(map(tuple, mat))
-                if holds or check_class(TwoForm(n, rows)) == (u, d):
-                    found.append((key, rows))
+            # an idempotent walk's leaf has M J M = d M and trace -u d: its profile is (u, d)
+            if gcd(*key) == 1:
+                eta = TwoForm(n, tuple(map(tuple, mat)))
+                if idempotent or check_class(eta) == (u, d):
+                    found.append((key, eta))
             return
         nodes += 1
         if nodes > budget:
@@ -266,37 +267,34 @@ def _walk(n, u, d, bound, idempotent, lattice=None, first=None, residual=None):
                     lo, hi = max(lo, ceil(x - radius)), min(hi, floor(x + radius))
         if piv:  # the pivot's residue class
             values = range(lo + (base - lo) % piv, hi + 1, piv)
-        else:  # forced by the columns already chosen; M holds it since the last one
+        else:  # forced by the columns already chosen; M has it since the last one
             values = (base,) if lo <= base <= hi else ()
             ri[j] = rj[i] = 0  # the solves below read the open slot as 0
         if solve_pf and idx == last:  # Pf(M) = x Pf(M[:2n-2, :2n-2]) + Pf(M)|x=0
             values = _roots(_sub_pfaffian(mat, tuple(range(m - 2)), {}),
                             _sub_pfaffian(mat, tuple(range(m)), {}), values)
-        row_ok = solutions(slopes, values) if slopes else values
-        if idempotent:
-            values = row_ok
-        after = checked if slopes is None else ()
+        if idempotent and slopes:
+            values = solutions(slopes, values)
+        after = checked if idempotent and slopes is None else ()
         tests = tail or trace_fixed or after  # the column's tests of each value
         for a in values:
             ri[j], rj[i], qi[ci], qj[cj] = a, -a, si * a, sj * a
             vec[idx] = a
             if not tests:
-                dfs(idx + 1, trace + a if anti[idx] else trace, holds and a in row_ok)
+                dfs(idx + 1, trace + a if anti[idx] else trace)
                 continue
             c = (a - base) // piv  # add the column's multiple to the later slots
             for r, x in tail:
                 partial[r] += c * x
-            if fixes(finals, trace_fixed):
-                ok = holds and a in row_ok and all(_identity(mat, mj, h, k, d) == 0 for h, k in after)
-                if ok or not idempotent:
-                    dfs(idx + 1, trace + a if anti[idx] else trace, ok)
+            if fixes(finals, trace_fixed) and all(_identity(mat, mj, h, k, d) == 0 for h, k in after):
+                dfs(idx + 1, trace + a if anti[idx] else trace)
             for r, x in tail:
                 partial[r] -= c * x
         ri[j] = rj[i] = qi[ci] = qj[cj] = vec[idx] = 0
         if not piv:  # the value the slot's last column wrote
             ri[j], rj[i], qi[ci], qj[cj] = base, -base, si * base, sj * base
 
-    dfs(0, 0, True)
+    dfs(0, 0)
     del dfs  # a recursive closure is a reference cycle: free its state without the collector
     return found
 
@@ -327,8 +325,7 @@ def enumerate_classes(spec, jobs=1):
         raise RangeError("enumeration is desk scale: n <= 4, bound <= 3")
     _check_box_budget(n, bound, "candidate")
     idempotent = spec.require_idempotent or spec.require_type is not None or (n, u) == (2, 1)
-    hits = _walk_chunks(n, u, d, bound, idempotent, jobs)
-    classes = [TwoForm(n, rows) for _, rows in sorted(hits)]
+    classes = [eta for _, eta in sorted(_walk_chunks(n, u, d, bound, idempotent, jobs))]
     if spec.require_type is not None:
         typ = tuple(spec.require_type)
         classes = [eta for eta in classes if _smith_type(eta.mat, u, d) == typ]

@@ -251,6 +251,18 @@ def cases():
     add(["witness", "--in", "", "--n", "2", "--u", "1", "--type", "1"])
     add(["enum", "--in", ""])
     add(["enum", "--in", "", "--n", "2", "--u", "1", "--d", "1", "--bound", "1"])
+
+    # an empty --tau is a path too; a tol >= 1, within which every residual entry lies, is
+    # refused; a float tau's imaginary part is positive definite at any scale
+    add(["analytic", "--in", "e.json", "--tau", ""], {"e.json": ELLIPTIC})
+    add(["scan", "--tau", "", "--u", "1", "--d", "1", "--bound", "1"])
+    add(["analytic", "--in", "e.json", "--tau", "t.json", "--tol", "1"],
+        {"e.json": _form(2, {(1, 2): 1}), "t.json": FLOAT_DIAG})
+    add(["scan", "--tau", "t.json", "--u", "1", "--d", "1", "--bound", "1", "--tol", "1"],
+        {"t.json": FLOAT_DIAG})
+    add(["analytic", "--in", "e.json", "--tau", "t.json"],
+        {"e.json": _form(1, {(1, 2): 1}), "t.json": {"n": 1, "backend": "float",
+                                                     "entries": [[[0.0, 1e-13]]]}})
     return out
 
 

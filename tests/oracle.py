@@ -14,8 +14,9 @@ paths are checked against; the references at the end are the integer parts
 of a Gaussian-rational tau, the Gaussian-rational and Fraction versions of the
 period-matrix solves, the tangent rank, the torsion pairing and the
 positive-definiteness test, the glued class from
-its norm matrix, and the witness of ``is_realizable`` derived from the full
-report.
+its norm matrix, the witness of ``is_realizable`` derived from the full
+report, and ``norm_from_class`` testing the trace, the rank and N^2 = d N
+each in turn.
 """
 
 
@@ -648,3 +649,35 @@ def reference_witness(eta):
         row += k
     inverse = la.solve_fraction(frac_mat(la.transpose(cols)), frac_mat(la.identity(2 * n)))
     return reference_tau_from_basis(p_complex, la.transpose(inverse))
+
+
+def reference_norm_from_class(eta, u=None, d=None):
+    """``norm_from_class`` in its earlier order: (u, d) from the profile or supplied, then the
+    trace formula, the rank and N^2 = d N, each tested whatever the others fix."""
+    from nsforge import _intlinalg as la
+    from nsforge.errors import (NotIdempotent, RangeError, RankMismatch, TraceMismatch,
+                                ZeroForm)
+    from nsforge.exterior import check_class
+    from nsforge.normend import NormMatrix
+
+    if eta.is_zero():
+        raise ZeroForm("zero class has no norm matrix")
+    n = eta.n
+    if u is None or d is None:
+        found = check_class(eta)
+        if found is None:
+            raise NotIdempotent("class fails the intersection-number profile")
+        u, d = found
+    elif not 1 <= u <= n:
+        raise RangeError("need 1 <= u <= n")
+    elif d < 1:
+        raise RangeError("need d >= 1")
+    nmat = la.j_times(eta.mat)
+    anti = sum(eta.mat[i][n + i] for i in range(n))
+    if anti != -u * d:
+        raise TraceMismatch(f"antidiagonal sum {anti} != -u*d = {-u * d}")
+    if la.rank_int(nmat) != 2 * u:
+        raise RankMismatch(f"rank(N) != {2 * u}")
+    if not la.mat_eq(la.mat_mul(nmat, nmat), la.mat_scale(d, nmat)):
+        raise NotIdempotent("N^2 != d N")
+    return NormMatrix(n, la.mat_freeze(nmat), u, d)

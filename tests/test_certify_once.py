@@ -12,6 +12,13 @@ exact hit lies in the vanishing lattice, so ``scan_ppav`` decides neither
 fact again: ``norm_from_class``, ``analyze`` and ``wedge_vanishes`` are the
 oracles its reports are checked against on every ``SCAN_PINS`` case.
 
+Each fact is decided once, and the tests at the end hold the decisions removed
+from production: profile-only walks evaluate no row identity, a hit's
+``TwoForm`` is built once at its leaf, ``norm_from_class`` computes a rank only
+to name a failing N^2 = d N (``oracle.reference_norm_from_class`` tests each
+invariant in turn), ``frobenius_basis`` takes no determinant and ``moebius``
+does not re-check a built ``SymplecticMatrix``.
+
 The norm matrix fixes the whole certificate; only ``is_realizable`` builds
 the Frobenius frame of theta on its image (``normend._image_type``).
 ``glue``, ``standard_witness``, ``is_realizable``, ``tangent_and_lattice``
@@ -26,6 +33,7 @@ import gc
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from nsforge import (
@@ -42,6 +50,7 @@ from nsforge import (
     complementary_class,
     enumerate_classes,
     exterior,
+    frobenius_basis,
     glue,
     intersection_profile,
     is_primitive,
@@ -62,10 +71,14 @@ from nsforge import (
     wedge_vanishes,
 )
 from nsforge import _intlinalg as la
+from nsforge import riemann, scan
 from nsforge.errors import NsforgeError
 
+import oracle
 from conftest import type22_class
-from test_walker_pins import SCAN_PINS, search_grid
+from test_exact_solves import glue_grid
+from test_kernel_pins import divisor_chains, grams
+from test_walker_pins import ENUM_PINS, SCAN_PINS, digest, search_grid
 
 
 def test_pfaffian_square_is_det_of_identity_plus_tn():
@@ -262,3 +275,144 @@ def test_is_realizable_derives_each_frame_once(monkeypatch):
         calls.clear()
         assert is_realizable(eta).tag == "ok"
         assert len(calls) == frames, eta
+
+
+def test_profile_only_walks_evaluate_no_row_identity(monkeypatch):
+    """Profile-only mode decides each leaf by ``check_class`` alone: with ``scan._identity``
+    refused, the profile-only ``ENUM_PINS`` cases with u = 2 keep their pinned outputs (at
+    n = 2, u = 1 the walk is idempotent)."""
+    def refuse(*args):
+        raise AssertionError("a profile-only walk evaluated a row identity")
+
+    monkeypatch.setattr(scan, "_identity", refuse)
+    cases = [pin for pin in ENUM_PINS if pin[0] == 2 and pin[3] == "profile"]
+    for u, d, bound, _, hits, sha in cases:
+        classes = enumerate_classes(EnumerationSpec(2, u, d, bound))
+        assert (len(classes), digest(eta.coefficient_vector() for eta in classes)) == (hits, sha)
+    assert sum(pin[4] for pin in cases) > 0
+
+
+def test_each_hit_builds_its_twoform_once(monkeypatch):
+    """The walker builds a hit's ``TwoForm`` at its leaf, and every caller returns that one."""
+    built = []
+    checks = _Counter(monkeypatch, "check_class", scan)
+    monkeypatch.setattr(scan, "TwoForm", lambda n, rows: built.append(TwoForm(n, rows)) or built[-1])
+
+    def returns_the_built(etas):
+        assert {id(eta) for eta in etas} <= {id(eta) for eta in built}
+        count, checks.calls = len(built), 0
+        built.clear()
+        return count
+
+    classes = enumerate_classes(EnumerationSpec(2, 1, 2, 2, require_idempotent=True))
+    assert returns_the_built(classes) == len(classes) == 244 and checks.calls == 0
+    classes = enumerate_classes(EnumerationSpec(2, 2, 2, 2))
+    calls = checks.calls
+    assert returns_the_built(classes) == calls > len(classes) == 96
+    assert not hasattr(riemann, "TwoForm")
+    tau = search_grid()["golden witness n=4"]
+    reports = scan_ppav(tau, 2, 2, 1)
+    assert returns_the_built([r.eta for r in reports]) == len(reports) == 12
+    reports = scan_ppav(search_grid()["diag"].to_float(), 1, 1, 1)
+    assert returns_the_built([r.eta for r in reports]) >= len(reports) == 2
+
+
+def _witness_and_enum_corpora():
+    """(eta, exact tau or None): the witnesses with n <= 4, divisors <= 3, and an ``act``
+    image of each; the idempotent n = 2 enum outputs at bound 1."""
+    cases = []
+    for n in (2, 3, 4):
+        for u in range(1, n // 2 + 1):
+            for typ in divisor_chains(u, 3):
+                tau, eta = standard_witness(n, u, typ)
+                s = random_symplectic(n, len(cases), 3)
+                cases += [(eta, tau), (act(s, eta), moebius(s, tau))]
+    for u, d in ((1, 1), (1, 2), (1, 3), (2, 1)):
+        cases += [(eta, None) for eta in
+                  enumerate_classes(EnumerationSpec(2, u, d, 1, require_idempotent=True))]
+    return cases
+
+
+def test_certificates_compute_no_rank(monkeypatch):
+    """N^2 = d N with trace 2ud forces rank 2u, so no accepted class computes a rank."""
+    cases = _witness_and_enum_corpora()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rank was computed")
+
+    _patch_every_binding(monkeypatch, la.rank_int, refuse)
+    for eta, tau in cases:
+        report = analyze(eta)
+        assert orbit_equivalent(eta, report.eta)
+        if tau is not None:
+            assert len(tangent_and_lattice(eta, tau)["lattice"][0]) == 2 * report.u
+    for u, typ, (tau, eta) in glue_grid(random.Random(5)):
+        assert analyze(eta).type_divisors == typ
+        assert len(tangent_and_lattice(eta, tau)["lattice"][0]) == 2 * u
+    assert len(cases) == 115
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except NsforgeError as exc:
+        return exc.code, str(exc)
+
+
+def test_norm_certificate_agrees_with_the_earlier_order():
+    """``norm_from_class`` tests the trace only for a supplied (u, d), and the rank only to
+    name a failing N^2 = d N; the earlier order, which tested each in turn, gives the same
+    certificate or the same code and message: on the profile-only n = 2 enum outputs, and on
+    seeded forms with a supplied (u, d) whose antidiagonal sum is -u d."""
+    outcomes = Counter()
+    for u, d in ((2, 1), (2, 2), (2, 3)):
+        for eta in enumerate_classes(EnumerationSpec(2, u, d, 2)):
+            got = _outcome(norm_from_class, eta)
+            assert got == _outcome(oracle.reference_norm_from_class, eta)
+            outcomes[got[0] if isinstance(got, tuple) else "ok"] += 1
+    rng = random.Random(32)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        u, d = rng.randint(1, n), rng.randint(1, 3)
+        mat = la.zeros(2 * n, 2 * n)
+        for i in range(2 * n):
+            for j in range(i + 1, 2 * n):
+                mat[i][j] = rng.randint(-2, 2)
+        mat[n - 1][2 * n - 1] -= sum(mat[i][n + i] for i in range(n)) + u * d
+        eta = TwoForm.from_matrix(n, [[mat[i][j] - mat[j][i] for j in range(2 * n)]
+                                      for i in range(2 * n)])
+        got = _outcome(norm_from_class, eta, u, d)
+        assert got == _outcome(oracle.reference_norm_from_class, eta, u, d)
+        outcomes[got[0] if isinstance(got, tuple) else "ok"] += 1
+    assert {"ok", "RankMismatch", "NotIdempotent"} <= set(outcomes)
+
+
+def test_frobenius_basis_decides_degeneracy_once(monkeypatch):
+    """The elimination alone refuses a degenerate Gram: no determinant is taken, and every
+    degenerate kernel-pin Gram still raises ``Degenerate``."""
+    cases = [(g, len(g) % 2 == 1 or (la.is_antisymmetric(g) and la.det_bareiss(g) == 0))
+             for g in grams()]
+
+    def refuse(*args):
+        raise AssertionError("frobenius_basis took a determinant")
+
+    monkeypatch.setattr(la, "det_bareiss", refuse)
+    degenerate = 0
+    for g, singular in cases:
+        got = _outcome(frobenius_basis, g)
+        if singular:
+            degenerate += 1
+            assert isinstance(got, tuple) and got[0] == "Degenerate"
+        else:
+            assert not isinstance(got, tuple) or got[0] == "NotAlternating"
+    assert degenerate == 24
+
+
+def test_moebius_trusts_a_built_symplectic_matrix(monkeypatch):
+    """A ``SymplecticMatrix`` was checked when it was built; a raw matrix is checked."""
+    s = random_symplectic(2, 4, 5)
+    tau = search_grid()["diag"]
+    checks = _Counter(monkeypatch, "is_symplectic", riemann)
+    moved = moebius(s, tau)
+    assert checks.calls == 0
+    assert moebius([list(r) for r in s.mat], tau) == moved and checks.calls == 1

@@ -393,6 +393,19 @@ class TestInDocumentOwnsItsData:
         assert error["code"] == "RangeError"
         assert error["message"].startswith(f"{command} --in takes its data from the document")
 
+    @pytest.mark.parametrize("command,flags", [
+        ("analytic", ["--in", "e.json"]), ("scan", ["--u", "1", "--d", "1", "--bound", "1"])])
+    def test_empty_tau_is_a_path(self, tmp_path, monkeypatch, command, flags):
+        """``--tau ""`` is a file name too: it cannot be read.  A missing ``--tau`` is still
+        reported as missing."""
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "e.json", {"n": 2, "coeffs": [{"i": 1, "j": 3, "a": -1}]})
+        result = cli.run([command, "--tau", ""] + flags)
+        assert (result.exit_code, result.payload["error"]["code"]) == (2, "RangeError")
+        assert result.payload["error"]["message"].startswith("cannot read : ")
+        result = cli.run([command] + flags)
+        assert result.payload["error"]["message"] == f"{command} needs --tau"
+
 
 class TestDeclaredFlags:
     """Each subcommand declares exactly the flags its handler reads; argparse refuses the rest."""

@@ -48,6 +48,7 @@ from oracle import (
     reference_enumerate,
     reference_exact_scan,
     reference_float_scan,
+    reference_pd,
     reference_residual_rows,
     reference_wedge_coefficients,
     reference_wedge_vanishes,
@@ -105,6 +106,24 @@ class TestPeriodMatrixValidation:
         for rows in ([[bad, 0.1], [0.1, 2j]], [[1j, bad], [bad, 2j]]):
             with pytest.raises(NotInSiegel, match="entries must be finite"):
                 PeriodMatrix.from_float(rows)
+
+    def test_float_siegel_test_is_exact(self):
+        """A binary64 imaginary part is dyadic and is decided exactly, as an exact one is, so
+        the verdict does not depend on its scale: no pivot threshold refuses a small one."""
+        for tiny in (1e-13, 1e-300, 2.0 ** -1074):
+            assert PeriodMatrix.from_float([[complex(0, tiny)]]).backend == "float"
+        eps = 2.0 ** -52
+        for scale in (1.0, 2.0 ** -1000, 2.0 ** 1000):
+            for corner in (1 + eps, 1.0, 1 - eps / 2):
+                im = [[scale, scale], [scale, scale * corner]]
+                rows = [[complex(0.25, x) for x in row] for row in im]
+                if reference_pd(im):
+                    assert PeriodMatrix.from_float(rows).im == tuple(map(tuple, im))
+                else:
+                    with pytest.raises(NotInSiegel, match="not positive definite"):
+                        PeriodMatrix.from_float(rows)
+        assert [reference_pd([[1, 1], [1, c]]) for c in (1 + eps, 1.0, 1 - eps / 2)] == [
+            True, False, False]
 
     def test_valid_float(self):
         tau = PeriodMatrix.from_float([[0.5 + 1j, 0.1], [0.1, 2j]])
@@ -361,16 +380,21 @@ class TestTangentAndLattice:
 
     def test_float_tangent_decides_no_rank(self):
         """A class that vanishes within a large tol gets its matrices, which do not depend on
-        tol: no pivot threshold re-decides the tangent's dimension."""
+        tol: no pivot threshold re-decides the tangent's dimension.  A tol >= 1, within which
+        every residual entry lies, is refused."""
         diag = PeriodMatrix.from_float([[1j, 0], [0, 2j]])
         elliptic = TwoForm.from_coeffs(2, {(0, 2): -1})
         tau4, eta4 = standard_witness(4, 2, (2, 2))
-        for eta, tau, u, tol in [(elliptic, diag, 1, 1.0), (elliptic, diag, 1, 2.0),
+        for eta, tau, u, big in [(elliptic, diag, 1, 1.0), (elliptic, diag, 1, 2.0),
                                  (eta4, tau4.to_float(), 2, 3.0)]:
-            assert wedge_vanishes(eta, tau, tol=tol)
-            res = tangent_and_lattice(eta, tau, tol=tol)
-            assert res == tangent_and_lattice(eta, tau)
-            assert len(res["tangent"]) == eta.n and len(res["tangent"][0]) == 2 * u
+            for refused in (wedge_vanishes, tangent_and_lattice):
+                with pytest.raises(RangeError, match="tol must be below 1"):
+                    refused(eta, tau, tol=big)
+            for tol in (0.5, 0.999):
+                assert wedge_vanishes(eta, tau, tol=tol)
+                res = tangent_and_lattice(eta, tau, tol=tol)
+                assert res == tangent_and_lattice(eta, tau)
+                assert len(res["tangent"]) == eta.n and len(res["tangent"][0]) == 2 * u
 
 
 class TestMoebiusInvariance:
@@ -720,6 +744,22 @@ class TestTolerance:
             with pytest.raises(RangeError, match="tol"):
                 call(eta, tau, tol=tol)
         with pytest.raises(RangeError, match="tol"):
+            scan_ppav(tau, 1, 1, 1, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1.0, 1.5, 1e300])
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_tol_of_one_or_more_is_a_range_error(self, backend, tol):
+        """At tol >= 1 the triangle inequality puts every residual entry within tol of its
+        terms, so the float test would keep every class: here {(1, 2): 1}, whose entry is 1."""
+        tau = PeriodMatrix.exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 2)]])
+        if backend == "float":
+            tau = tau.to_float()
+        eta = TwoForm.from_coeffs(2, {(0, 1): 1})
+        assert not wedge_vanishes(eta, tau, tol=0.999)
+        for call in (wedge_vanishes, tangent_and_lattice):
+            with pytest.raises(RangeError, match="tol must be below 1"):
+                call(eta, tau, tol=tol)
+        with pytest.raises(RangeError, match="tol must be below 1"):
             scan_ppav(tau, 1, 1, 1, tol=tol)
 
     def test_zero_tol_keeps_exact_zeros(self):
